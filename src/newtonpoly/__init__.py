@@ -10,7 +10,6 @@ irrationalities only; no floating point anywhere.
 
 from .closedform import (
     AuditRecord,
-    BinomialTable,
     binomial,
     closed_audit,
     closed_p,
@@ -47,13 +46,11 @@ from .qalgebra import (
 )
 from .quadfield import (
     ConjugacyReport,
-    MobiusMap,
     QuadExt,
     QuadExtPoly,
     conjugacy_check,
     phi_apply,
     phi_inverse,
-    phi_map,
     root_form_pair,
     roots,
 )

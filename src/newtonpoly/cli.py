@@ -304,11 +304,19 @@ _SUITE_DEFAULT_MAX_N = {
     "qconjecture": 3, "qbinom": 6,
 }
 
+# Smallest --max-n at which each of these suites checks anything at all.
+_SUITE_MIN_MAX_N = {
+    "equivalence": 0, "coprime": 0, "qconjecture": 0, "conjugacy": 1, "lemma1": 1,
+}
+
 
 def _normalize(args: argparse.Namespace) -> None:
     if args.command == "verify":
         if args.max_n is None:
             args.max_n = _SUITE_DEFAULT_MAX_N.get(args.suite, 4)
+        minimum = _SUITE_MIN_MAX_N.get(args.suite)
+        if minimum is not None and args.max_n < minimum:
+            raise StructuralError(f"verify {args.suite} needs --max-n >= {minimum}")
         if args.suite == "smoothness":
             if args.n is None:
                 raise StructuralError("verify smoothness requires --n")

@@ -16,55 +16,23 @@ and its machine checks, which the closed-form derivation leans on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ResourceCapError
+from .errors import check_index
 from .newton import DEFAULT_CAP
 from .polyring import ABCX, XY, Monomial, MultiPoly
 
 
-class BinomialTable:
-    """Pascal-triangle cache of exact binomial coefficients.
-
-    Out-of-range arguments (k < 0 or k > n) give 0, the convention the
-    closed-form sums rely on to truncate themselves.
-    """
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = [[1]]
-
-    @property
-    def max_cached(self) -> int:
-        return len(self._rows) - 1
-
-    def row(self, n: int) -> list[int]:
-        self._ensure(n)
-        return list(self._rows[n])
-
-    def _ensure(self, n: int) -> None:
-        while len(self._rows) <= n:
-            prev = self._rows[-1]
-            row = [1]
-            row.extend(prev[i - 1] + prev[i] for i in range(1, len(prev)))
-            row.append(1)
-            self._rows.append(row)
-
-    def binomial(self, n: int, k: int) -> int:
-        if n < 0:
-            raise ValueError(f"binomial row must be nonnegative, got {n}")
-        if k < 0 or k > n:
-            return 0
-        self._ensure(n)
-        return self._rows[n][k]
-
-
-_TABLE = BinomialTable()
-
-
 def binomial(n: int, k: int) -> int:
-    """Exact C(n, k), with C(n, k) = 0 outside 0 <= k <= n."""
-    return _TABLE.binomial(n, k)
+    """Exact C(n, k), with C(n, k) = 0 outside 0 <= k <= n.
+
+    The zero convention is what lets the closed-form sums truncate themselves.
+    """
+    if n < 0:
+        raise ValueError(f"binomial row must be nonnegative, got {n}")
+    return math.comb(n, k) if k >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -115,16 +83,9 @@ def _q_contributions(n: int) -> Iterator[tuple[int, int, int, Monomial]]:
             yield (k, j, coeff, (k + j, size - k - 2 * j - 1, j, k))
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError(f"iteration index must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"n = {n} exceeds the cap {cap}; raise the cap explicitly")
-
-
 def closed_p(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
     """Numerator P_n over (a, b, c, x), built term-by-term from the double sum."""
-    _check_cap(n, cap)
+    check_index(n, cap)
     terms: dict[Monomial, int] = {}
     for _k, _j, coeff, mono in _p_contributions(n):
         terms[mono] = terms.get(mono, 0) + coeff
@@ -133,7 +94,7 @@ def closed_p(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
 
 def closed_q(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
     """Denominator Q_n over (a, b, c, x), built term-by-term from the double sum."""
-    _check_cap(n, cap)
+    check_index(n, cap)
     terms: dict[Monomial, int] = {}
     for _k, _j, coeff, mono in _q_contributions(n):
         terms[mono] = terms.get(mono, 0) + coeff
@@ -146,7 +107,7 @@ def closed_audit(n: int, cap: int = DEFAULT_CAP) -> list[AuditRecord]:
     The records reconstruct the polynomials exactly: summing the signed
     contributions per monomial gives back closed_p(n) / closed_q(n).
     """
-    _check_cap(n, cap)
+    check_index(n, cap)
     records = [AuditRecord("P", n, k, j, coeff, mono) for k, j, coeff, mono in _p_contributions(n)]
     records.extend(
         AuditRecord("Q", n, k, j, coeff, mono) for k, j, coeff, mono in _q_contributions(n))

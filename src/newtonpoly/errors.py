@@ -15,3 +15,11 @@ class DomainError(ArithmeticError):
 
 class ResourceCapError(RuntimeError):
     """Iteration index beyond the configured cap (coefficient blow-up guard)."""
+
+
+def check_index(n: int, cap: int) -> None:
+    """Guard an iteration index: usage error below 0, cap error above ``cap``."""
+    if n < 0:
+        raise StructuralError(f"iteration index must be nonnegative, got {n}")
+    if n > cap:
+        raise ResourceCapError(f"n = {n} exceeds the cap {cap}; raise the cap explicitly")

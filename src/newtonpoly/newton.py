@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, ResourceCapError, StructuralError
+from .errors import DomainError, StructuralError, check_index
 from .polyring import ABCX, MultiPoly, VariableSet, divexact
 
 DEFAULT_CAP = 8
@@ -123,11 +123,7 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
 
 def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
     """The exact symbolic pair (P_n, Q_n) grown by the squaring recurrence."""
-    if n < 0:
-        raise ValueError(f"iteration index must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceCapError(
-            f"n = {n} exceeds the cap {cap}; coefficients grow doubly exponentially")
+    check_index(n, cap)
     p, q = _X, MultiPoly.one(ABCX)
     for _ in range(n):
         p, q = _A * p * p - _C * q * q, 2 * _A * p * q + _B * q * q
@@ -286,7 +282,7 @@ def coprimality_check(pair: NewtonPair, trials: int = 10, seed: int = 42) -> Cop
     probed and recorded for inspection, without affecting the verdict.
     """
     if trials < 1:
-        raise ValueError("at least one trial is required")
+        raise StructuralError(f"at least one trial is required, got {trials}")
     rng = random.Random(seed)
     witnesses: list[TrialWitness] = []
     for _ in range(trials):

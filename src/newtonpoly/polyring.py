@@ -201,31 +201,27 @@ class MultiPoly:
             raise StructuralError(
                 f"variable sets differ: {self.varset.names} vs {other.varset.names}")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other, for sign in {1, -1}."""
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_varset(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            s = out.get(mono, 0) + coeff
+            held = out.get(mono, 0)
+            # A branch, not sign * coeff: multiplying big coefficients costs more.
+            s = held + coeff if sign > 0 else held - coeff
             if s:
                 out[mono] = s
             elif mono in out:
                 del out[mono]
         return MultiPoly._raw(self.varset, out)
 
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_varset(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono, 0) - coeff
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return MultiPoly._raw(self.varset, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._raw(self.varset, {m: -c for m, c in self._terms.items()})

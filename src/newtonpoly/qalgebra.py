@@ -24,11 +24,12 @@ At q = 1, y = 1 everything collapses back to the commutative pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
 from .closedform import IdentityCheckReport, binomial
-from .errors import ResourceCapError, StructuralError
+from .errors import StructuralError, check_index
 from .polyring import ABCQ, ABCX, Monomial, MultiPoly
 
 DEFAULT_NC_CAP = 4
@@ -44,22 +45,22 @@ def _q_power(exponent: int) -> MultiPoly:
     return MultiPoly.variable(ABCQ, "q", exponent) if exponent else _ONE3
 
 
-_qbinom_rows: list[list[MultiPoly]] = [[_ONE3]]
+@functools.lru_cache(maxsize=None)
+def _qbinomial_row(n: int) -> tuple[MultiPoly, ...]:
+    # Row n is built from the cached row n - 1; the cache never exposes a
+    # partly built row, so concurrent callers at worst compute a row twice.
+    if n == 0:
+        return (_ONE3,)
+    previous = _qbinomial_row(n - 1)
+    inner = (previous[k - 1] + _q_power(k) * previous[k] for k in range(1, n))
+    return (_ONE3, *inner, _ONE3)
 
 
 def qbinomial(n: int, k: int) -> MultiPoly:
     """The Gaussian polynomial [n, k]_q over (a, b, c, q); zero out of range."""
     if n < 0 or k < 0 or k > n:
         return _ZERO3
-    while len(_qbinom_rows) <= n:
-        row_index = len(_qbinom_rows)
-        previous = _qbinom_rows[-1]
-        row = [_ONE3]
-        for k_index in range(1, row_index):
-            row.append(previous[k_index - 1] + _q_power(k_index) * previous[k_index])
-        row.append(_ONE3)
-        _qbinom_rows.append(row)
-    return _qbinom_rows[n][k]
+    return _qbinomial_row(n)[k]
 
 
 def qbinomial_product_value(n: int, k: int, q_value: int) -> int:
@@ -253,13 +254,6 @@ def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
     return IdentityCheckReport("q-binomial theorem", max_n, True)
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError(f"iteration index must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"n = {n} exceeds the noncommutative cap {cap}")
-
-
 _A = MultiPoly.variable(ABCQ, "a")
 _B = MultiPoly.variable(ABCQ, "b")
 _C = MultiPoly.variable(ABCQ, "c")
@@ -267,7 +261,7 @@ _C = MultiPoly.variable(ABCQ, "c")
 
 def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[NCPoly, NCPoly]:
     """(P'_n, Q'_n) by the noncommutative recurrence; homogeneous of degree 2^n."""
-    _check_cap(n, cap)
+    check_index(n, cap)
     p, q = NCPoly.x_word(), NCPoly.y_word()
     for _ in range(n):
         p, q = _A * p * p - _C * q * q, _A * p * q + _A * q * p + _B * q * q
@@ -276,7 +270,7 @@ def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[NCPoly, NCPoly]:
 
 def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[NCPoly, NCPoly]:
     """The conjectured closed forms: q-deform the outer binomial, append y^(2^n - k)."""
-    _check_cap(n, cap)
+    check_index(n, cap)
     size = 2 ** n
     p_words: dict[Word, MultiPoly] = {
         (size, 0): MultiPoly.term(ABCQ, 1, a=size - 1)}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, ResourceCapError, StructuralError
+from .errors import DomainError, StructuralError, check_index
 from .newton import DEFAULT_CAP, QuadraticCoeffs, iterate_value
 from .polyring import X_ONLY, MultiPoly
 
@@ -70,9 +70,6 @@ class QuadExt:
         if self.v != 0:
             raise DomainError(f"{self} has a nonzero radical part")
         return self.u
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.u, -self.v, self.d)
 
     def norm(self) -> Fraction:
         """u^2 - v^2 d, the product with the conjugate."""
@@ -191,29 +188,6 @@ class QuadExt:
         return f"QuadExt({self.u!r}, {self.v!r}, {self.d})"
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """Fractional linear transformation t -> (m_a t + m_b)/(m_c t + m_d)."""
-
-    m_a: QuadExt
-    m_b: QuadExt
-    m_c: QuadExt
-    m_d: QuadExt
-
-    def __post_init__(self) -> None:
-        if (self.m_a * self.m_d - self.m_b * self.m_c).is_zero:
-            raise DomainError("degenerate fractional linear map: zero determinant")
-
-    def apply(self, tau: QuadExt) -> QuadExt:
-        denominator = self.m_c * tau + self.m_d
-        if denominator.is_zero:
-            raise DomainError(f"pole of the fractional linear map at tau = {tau}")
-        return (self.m_a * tau + self.m_b) / denominator
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.m_d, -self.m_b, -self.m_c, self.m_a)
-
-
 def roots(coeffs: QuadraticCoeffs) -> tuple[QuadExt, QuadExt]:
     """The two distinct roots (-b +/- sqrt(d))/(2a) as exact QuadExt values."""
     if not coeffs.is_integral():
@@ -223,14 +197,6 @@ def roots(coeffs: QuadraticCoeffs) -> tuple[QuadExt, QuadExt]:
     half = Fraction(1, 2) / coeffs.a
     center = -coeffs.b * half
     return QuadExt(center, half, d), QuadExt(center, -half, d)
-
-
-def phi_map(root_pair: Sequence[QuadExt]) -> MobiusMap:
-    """The map sending r1 to 0 and r2 to infinity: (t - r1)/(t - r2)."""
-    r1, r2 = root_pair
-    d = r1.d
-    one = QuadExt(1, 0, d)
-    return MobiusMap(one, -r1, one, -r2)
 
 
 def phi_apply(root_pair: Sequence[QuadExt], tau: QuadExt | Fraction | int) -> QuadExt:
@@ -434,10 +400,7 @@ def root_form_pair(coeffs: QuadraticCoeffs, n: int,
     Both come out with zero radical components (rational, in fact integral for
     integer coefficients).
     """
-    if n < 0:
-        raise ValueError(f"iteration index must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"n = {n} exceeds the cap {cap}")
+    check_index(n, cap)
     r1, r2 = roots(coeffs)
     d = r1.d
     size = 2 ** n

@@ -178,3 +178,25 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self):
         result = run_cli("verify", "nonsense")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("smoothness", "--n", "-1"),
+        ("coprime", "--trials", "0"),
+        # a range that would check nothing must not report "passed": true
+        ("equivalence", "--max-n", "-1"),
+        ("coprime", "--max-n", "-1"),
+        ("qconjecture", "--max-n", "-3"),
+        ("conjugacy", "--max-n", "0"),
+        ("lemma1", "--max-n", "0"),
+    ], ids=" ".join)
+    def test_bad_range_is_usage_error(self, argv):
+        result = run_cli("verify", *argv)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error:")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_rootform_range_may_be_empty(self):
+        result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["rootform"] == []

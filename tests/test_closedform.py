@@ -1,7 +1,6 @@
 import pytest
 
 from newtonpoly.closedform import (
-    BinomialTable,
     binomial,
     closed_audit,
     closed_p,
@@ -40,17 +39,10 @@ class TestBinomial:
         with pytest.raises(ValueError):
             binomial(-1, 0)
 
-    def test_pascal_identity_across_cache(self):
-        table = BinomialTable()
-        table.binomial(20, 10)
-        for n in range(1, table.max_cached + 1):
+    def test_pascal_identity(self):
+        for n in range(1, 21):
             for k in range(n + 1):
-                assert table.binomial(n, k) == \
-                    table.binomial(n - 1, k - 1) + table.binomial(n - 1, k)
-
-    def test_row_edges(self):
-        table = BinomialTable()
-        assert table.row(6) == [1, 6, 15, 20, 15, 6, 1]
+                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestClosedForms:

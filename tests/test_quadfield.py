@@ -7,13 +7,11 @@ from newtonpoly.closedform import closed_p, closed_q
 from newtonpoly.errors import DomainError, StructuralError
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.quadfield import (
-    MobiusMap,
     QuadExt,
     QuadExtPoly,
     conjugacy_check,
     phi_apply,
     phi_inverse,
-    phi_map,
     root_form_pair,
     roots,
 )
@@ -153,17 +151,6 @@ class TestPhi:
                     continue
                 assert phi_inverse(pair, w) == lifted
                 checked += 1
-
-    def test_mobius_map_determinant_guard(self):
-        one = QuadExt(1, 0, 0)
-        with pytest.raises(DomainError):
-            MobiusMap(one, one, one, one)
-
-    def test_phi_map_inverse_composition(self):
-        pair = roots(QuadraticCoeffs(1, 1, -1))   # d = 5
-        mobius = phi_map(pair)
-        z = QuadExt.lift(Fraction(3, 7), 5)
-        assert mobius.inverse().apply(mobius.apply(z)) == z
 
 
 class TestConjugacy:
