@@ -1,7 +1,10 @@
 """Golden-bytes guard: sha256 pins of the CLI's stdout for fixed inputs.
 
-The pins were taken before the cap, binomial and phi helpers were merged;
+The CLI pins were taken before the cap, binomial and phi helpers were merged;
 any refactor of those layers must leave every byte of these outputs alone.
+The noncommutative pins hash the (P'_n, Q'_n) pair itself, in the MultiPoly
+JSON schema over (a, b, c, q, x, y), and were taken while the pair was still
+stored as a map from words x^i y^j to coefficients over (a, b, c, q).
 """
 
 import hashlib
@@ -9,6 +12,8 @@ import hashlib
 import pytest
 
 from newtonpoly import cli
+from newtonpoly.polyring import MultiPoly, VariableSet
+from newtonpoly.qalgebra import nc_iterate
 
 # generate --n N: recurrence and closed emit the same bytes, so one pin per n.
 GENERATE = {
@@ -73,6 +78,20 @@ VERIFY = {
         "add643956d20f2adb6a1ae3de6cb19880af25cf37d0b720b8208df738659347c",
 }
 
+# canonical_json of (P'_n, Q'_n).to_dict() from nc_iterate(n), n = 0..4.
+NC_ITERATE = (
+    ("19991e109b259f49b8b8dc1ee8c3e405cad4f61b58730ca5513893b3974fb225",
+     "4aa2d24b9da0bc045f1b2f6700b2ff4ed99e7e684d0b54c0d9d82f58fc787776"),
+    ("55c9db336eeb3151ae6172946b4f80906ca3397c73e86eb1f739f9fba4ae0c1c",
+     "63a300b04b51a426940036e665c9d0f2b520c53e6f03ac3971d0be71f7e5497f"),
+    ("0121d3afae05e812d02705af9b597d7a2c9482c6168d3b78fcb7631a99d88df0",
+     "89ad0968234b8f018f3fdae47a20e52fc9fad3198ca98f0be6f62fddf568f402"),
+    ("d7b0b7aec30f34f1db0c2ca7267a3ba85d954461b2dd43eda8ade27dedf9a435",
+     "4b21a242e4f8b3ed62fa7ac87d689167644e422b6a8dd5f38b1f5fd74779c22f"),
+    ("05a7435911f4f0ac5c6685440bd7fb5596c18adaf467d1e226ffd0b444a35388",
+     "5c628246d81812f870c232c85ca907509d5d3fe68821a5104ea08530449697b8"),
+)
+
 
 def stdout_sha256(capsys, *argv: str) -> str:
     assert cli.main(list(argv)) == cli.EXIT_PASS
@@ -101,3 +120,17 @@ def test_generate_rootform(capsys, triple, n):
 @pytest.mark.parametrize("argv", sorted(VERIFY), ids=" ".join)
 def test_verify(capsys, argv):
     assert stdout_sha256(capsys, "verify", *argv) == VERIFY[argv]
+
+
+def _flat_dict(poly) -> dict:
+    # Word x^i y^j becomes the last two exponents over (a, b, c, q, x, y).
+    terms = {mono + word: c
+             for word, coeff in poly.words() for mono, c in coeff.sorted_terms()}
+    return MultiPoly(VariableSet("abcqxy"), terms).to_dict()
+
+
+@pytest.mark.parametrize("n", range(len(NC_ITERATE)))
+def test_nc_iterate(n):
+    digests = tuple(hashlib.sha256(cli.canonical_json(_flat_dict(poly)).encode()).hexdigest()
+                    for poly in nc_iterate(n))
+    assert digests == NC_ITERATE[n]
