@@ -32,9 +32,8 @@ from .newton import (
     newton_step,
     sylvester_resultant,
 )
-from .polyring import ABCQ, ABCX, X_ONLY, XY, MultiPoly, VariableSet, divexact
+from .polyring import ABCQ, ABCQXY, ABCX, X_ONLY, XY, MultiPoly, VariableSet, divexact, nc_mul
 from .qalgebra import (
-    NCPoly,
     QConjectureReport,
     conjecture_check,
     nc_closed,
@@ -42,12 +41,10 @@ from .qalgebra import (
     qbinomial,
     qbinomial_product_value,
     qbinomial_theorem_check,
-    specialize_commutative,
 )
 from .quadfield import (
     ConjugacyReport,
     QuadExt,
-    QuadExtPoly,
     conjugacy_check,
     phi_apply,
     phi_inverse,

@@ -56,8 +56,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if args.a is None or args.b is None or args.c is None:
             raise StructuralError("--method rootform requires --a, --b and --c")
         coeffs = QuadraticCoeffs(args.a, args.b, args.c)
-        p_poly, q_poly = quadfield.root_form_pair(coeffs, args.n, cap=args.cap)
-        p, q = p_poly.to_multipoly(), q_poly.to_multipoly()
+        p, q = quadfield.root_form_pair(coeffs, args.n, cap=args.cap)
         payload = {
             "n": args.n,
             "coeffs": {"a": str(coeffs.a), "b": str(coeffs.b), "c": str(coeffs.c)},
@@ -113,10 +112,13 @@ def _suite_equivalence(args) -> tuple[bool, dict]:
         coeffs = QuadraticCoeffs(a, b, c)
         bindings = {"a": a, "b": b, "c": c}
         for n in range(min(args.max_n, args.rootform_max_n) + 1):
-            rf_p, rf_q = quadfield.root_form_pair(coeffs, n, cap=args.cap)
-            match = (rf_p.radical_part_is_zero() and rf_q.radical_part_is_zero()
-                     and rf_p.to_multipoly() == closedform.closed_p(n).substitute(bindings)
-                     and rf_q.to_multipoly() == closedform.closed_q(n).substitute(bindings))
+            try:
+                rf_p, rf_q = quadfield.root_form_pair(coeffs, n, cap=args.cap)
+            except DomainError:      # a coefficient kept a radical or fractional part
+                match = False
+            else:
+                match = (rf_p == closedform.closed_p(n).substitute(bindings)
+                         and rf_q == closedform.closed_q(n).substitute(bindings))
             rootform_results.append({"coeffs": [a, b, c], "n": n, "match": match})
             ok = ok and match
     report = {"suite": "equivalence", "max_n": args.max_n,
@@ -160,7 +162,7 @@ def _parse_samples(text: str | None):
         return SAMPLE_POOL
     try:
         return tuple(Fraction(piece) for piece in text.split(","))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"bad --samples value: {exc}") from exc
 
 
@@ -180,15 +182,19 @@ def _suite_conjugacy(args) -> tuple[bool, dict]:
     return ok, report
 
 
+# q = 1, y = 1 maps the noncommutative pair onto the commutative one over (a, b, c, x).
+_COMMUTATIVE = {"q": 1, "y": 1}
+
+
 def _suite_qconjecture(args) -> tuple[bool, dict]:
     result = qalgebra.conjecture_check(args.max_n, cap=args.cap)
     commutative = []
     commutative_ok = True
     for n in range(args.commutative_max_n + 1):
-        nc_p, nc_q = qalgebra.nc_iterate(n, cap=max(args.cap, args.commutative_max_n))
+        nc_p, nc_q = qalgebra.nc_iterate(n, cap=args.cap)
         pair = newton.iterate_pair(n)
-        match = (qalgebra.specialize_commutative(nc_p) == pair.p
-                 and qalgebra.specialize_commutative(nc_q) == pair.q)
+        match = (nc_p.substitute(_COMMUTATIVE) == pair.p
+                 and nc_q.substitute(_COMMUTATIVE) == pair.q)
         commutative.append({"n": n, "match": match})
         commutative_ok = commutative_ok and match
     ok = result.passed and commutative_ok
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mode", choices=smoothness.MODES, default="inclusive")
     ver.add_argument("--trials", type=int, default=10)
     ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    ver.add_argument("--cap", type=int, default=None)
     ver.add_argument("--rootform-max-n", dest="rootform_max_n", type=int, default=4)
     ver.add_argument("--commutative-max-n", dest="commutative_max_n", type=int, default=4)
     ver.add_argument("--product-max-n", dest="product_max_n", type=int, default=12)
@@ -307,7 +313,11 @@ _SUITE_DEFAULT_MAX_N = {
 # Smallest --max-n at which each of these suites checks anything at all.
 _SUITE_MIN_MAX_N = {
     "equivalence": 0, "coprime": 0, "qconjecture": 0, "conjugacy": 1, "lemma1": 1,
+    "qbinom": 1,
 }
+
+# Sub-check ranges that start at 0; a negative one would check nothing.
+_SUBCHECK_MAX_N = ("commutative_max_n", "product_max_n", "symmetry_max_n")
 
 
 def _normalize(args: argparse.Namespace) -> None:
@@ -317,12 +327,15 @@ def _normalize(args: argparse.Namespace) -> None:
         minimum = _SUITE_MIN_MAX_N.get(args.suite)
         if minimum is not None and args.max_n < minimum:
             raise StructuralError(f"verify {args.suite} needs --max-n >= {minimum}")
+        for name in _SUBCHECK_MAX_N:
+            if getattr(args, name) < 0:
+                raise StructuralError(f"--{name.replace('_', '-')} must be >= 0")
         if args.suite == "smoothness":
             if args.n is None:
                 raise StructuralError("verify smoothness requires --n")
-        if args.suite == "qconjecture" and args.cap == DEFAULT_CAP:
+        if args.cap is None:
             # The noncommutative pair is far denser; its own default cap applies.
-            args.cap = qalgebra.DEFAULT_NC_CAP
+            args.cap = qalgebra.DEFAULT_NC_CAP if args.suite == "qconjecture" else DEFAULT_CAP
     if args.command in ("generate", "eval") and args.n < 0:
         raise StructuralError("--n must be nonnegative")
 

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .errors import check_index
 from .newton import DEFAULT_CAP
 from .polyring import ABCX, XY, Monomial, MultiPoly
+
+T = TypeVar("T")
 
 
 def binomial(n: int, k: int) -> int:
@@ -57,37 +59,47 @@ class AuditRecord:
         }
 
 
-def _p_contributions(n: int) -> Iterator[tuple[int, int, int, Monomial]]:
-    # Exponent order over ABCX is (a, b, c, x).
+def p_contributions(n: int, outer: Callable[[int, int], T]
+                    ) -> Iterator[tuple[int, int, T, Monomial]]:
+    """(k, j, coefficient, monomial) for each term of the P_n double sum.
+
+    The coefficient is ``outer(2^n, k) * (+-C(2^n-k-j-2, j))``: ``binomial``
+    gives the commutative sum, and a q-binomial the q-deformed one.  ``outer``
+    is called once per k.
+    The monomial is over (a, b, c, x), with x^k.  The leading term
+    a^(2^n-1) x^(2^n) comes first, as k = 2^n with coefficient outer(2^n, 2^n).
+    """
     size = 2 ** n
-    yield (size, 0, 1, (size - 1, 0, 0, size))
+    yield (size, 0, outer(size, size), (size - 1, 0, 0, size))
     for k in range(size - 1):
-        outer = binomial(size, k)
+        factor = outer(size, k)
         for j in range(size - k - 1):
             inner = binomial(size - k - j - 2, j)
             if inner == 0:
                 continue
-            coeff = -((-1) ** j) * outer * inner
-            yield (k, j, coeff, (k + j, size - k - 2 * j - 2, j + 1, k))
+            yield (k, j, factor * (-((-1) ** j) * inner),
+                   (k + j, size - k - 2 * j - 2, j + 1, k))
 
 
-def _q_contributions(n: int) -> Iterator[tuple[int, int, int, Monomial]]:
+def q_contributions(n: int, outer: Callable[[int, int], T]
+                    ) -> Iterator[tuple[int, int, T, Monomial]]:
+    """(k, j, coefficient, monomial) for each term of the Q_n double sum; see p_contributions."""
     size = 2 ** n
     for k in range(size):
-        outer = binomial(size, k)
+        factor = outer(size, k)
         for j in range(size - k):
             inner = binomial(size - k - j - 1, j)
             if inner == 0:
                 continue
-            coeff = ((-1) ** j) * outer * inner
-            yield (k, j, coeff, (k + j, size - k - 2 * j - 1, j, k))
+            yield (k, j, factor * (((-1) ** j) * inner),
+                   (k + j, size - k - 2 * j - 1, j, k))
 
 
 def closed_p(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
     """Numerator P_n over (a, b, c, x), built term-by-term from the double sum."""
     check_index(n, cap)
     terms: dict[Monomial, int] = {}
-    for _k, _j, coeff, mono in _p_contributions(n):
+    for _k, _j, coeff, mono in p_contributions(n, binomial):
         terms[mono] = terms.get(mono, 0) + coeff
     return MultiPoly(ABCX, terms)
 
@@ -96,7 +108,7 @@ def closed_q(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
     """Denominator Q_n over (a, b, c, x), built term-by-term from the double sum."""
     check_index(n, cap)
     terms: dict[Monomial, int] = {}
-    for _k, _j, coeff, mono in _q_contributions(n):
+    for _k, _j, coeff, mono in q_contributions(n, binomial):
         terms[mono] = terms.get(mono, 0) + coeff
     return MultiPoly(ABCX, terms)
 
@@ -108,9 +120,10 @@ def closed_audit(n: int, cap: int = DEFAULT_CAP) -> list[AuditRecord]:
     contributions per monomial gives back closed_p(n) / closed_q(n).
     """
     check_index(n, cap)
-    records = [AuditRecord("P", n, k, j, coeff, mono) for k, j, coeff, mono in _p_contributions(n)]
-    records.extend(
-        AuditRecord("Q", n, k, j, coeff, mono) for k, j, coeff, mono in _q_contributions(n))
+    records = [AuditRecord("P", n, k, j, coeff, mono)
+               for k, j, coeff, mono in p_contributions(n, binomial)]
+    records.extend(AuditRecord("Q", n, k, j, coeff, mono)
+                   for k, j, coeff, mono in q_contributions(n, binomial))
     return records
 
 

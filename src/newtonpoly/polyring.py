@@ -77,6 +77,7 @@ ABCX = VariableSet("abcx")
 XY = VariableSet("xy")
 ABCQ = VariableSet("abcq")
 X_ONLY = VariableSet("x")
+ABCQXY = VariableSet("abcqxy")
 
 
 def _grlex_key(monomial: Monomial) -> tuple[int, Monomial]:
@@ -391,6 +392,30 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.varset.names}, {self._terms!r})"
+
+
+def nc_mul(left: MultiPoly, right: MultiPoly) -> MultiPoly:
+    """Product over (a, b, c, q, x, y) in the algebra where yx = qxy.
+
+    a, b, c and q commute with everything.  Terms are stored normal-ordered
+    as x^i y^j, so moving y^j1 past x^i2 costs a factor q^(j1 i2):
+
+        (x^i1 y^j1)(x^i2 y^j2) = q^(j1 i2) x^(i1+i2) y^(j1+j2)
+    """
+    if left.varset != ABCQXY or right.varset != ABCQXY:
+        raise StructuralError(
+            f"nc_mul needs polynomials over {ABCQXY.names}, "
+            f"got {left.varset.names} and {right.varset.names}")
+    out: dict[Monomial, int] = {}
+    for (a1, b1, c1, q1, i1, j1), coeff_l in left._terms.items():
+        for (a2, b2, c2, q2, i2, j2), coeff_r in right._terms.items():
+            mono = (a1 + a2, b1 + b2, c1 + c2, q1 + q2 + j1 * i2, i1 + i2, j1 + j2)
+            s = out.get(mono, 0) + coeff_l * coeff_r
+            if s:
+                out[mono] = s
+            elif mono in out:
+                del out[mono]
+    return MultiPoly._raw(ABCQXY, out)
 
 
 def divexact(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:

@@ -307,98 +307,44 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int,
 
 # ---------------------------------------------------------------- root form
 
-class QuadExtPoly:
-    """Sparse univariate polynomial in x with QuadExt coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, QuadExt] | None = None):
-        clean: dict[int, QuadExt] = {}
-        if coeffs:
-            for power, value in coeffs.items():
-                if power < 0:
-                    raise StructuralError(f"negative power {power}")
-                if not value.is_zero:
-                    clean[power] = value
-        self._coeffs = clean
-
-    @property
-    def degree(self) -> int:
-        return max(self._coeffs, default=0)
-
-    def coefficient(self, power: int) -> QuadExt | None:
-        return self._coeffs.get(power)
-
-    def coefficients(self) -> list[tuple[int, QuadExt]]:
-        return sorted(self._coeffs.items(), reverse=True)
-
-    def __add__(self, other: "QuadExtPoly") -> "QuadExtPoly":
-        out = dict(self._coeffs)
-        for power, value in other._coeffs.items():
-            current = out.get(power)
-            out[power] = value if current is None else current + value
-        return QuadExtPoly(out)
-
-    def __sub__(self, other: "QuadExtPoly") -> "QuadExtPoly":
-        out = dict(self._coeffs)
-        for power, value in other._coeffs.items():
-            current = out.get(power)
-            out[power] = -value if current is None else current - value
-        return QuadExtPoly(out)
-
-    def __mul__(self, other: "QuadExtPoly") -> "QuadExtPoly":
-        out: dict[int, QuadExt] = {}
-        for p1, v1 in self._coeffs.items():
-            for p2, v2 in other._coeffs.items():
-                product = v1 * v2
-                current = out.get(p1 + p2)
-                out[p1 + p2] = product if current is None else current + product
-        return QuadExtPoly(out)
-
-    def scale(self, scalar: QuadExt) -> "QuadExtPoly":
-        return QuadExtPoly({p: v * scalar for p, v in self._coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadExtPoly) and self._coeffs == other._coeffs
-
-    def radical_part_is_zero(self) -> bool:
-        return all(v.is_rational for v in self._coeffs.values())
-
-    def to_multipoly(self) -> MultiPoly:
-        """Convert to an integer polynomial over {x}; requires rational integral coefficients."""
-        terms = {}
-        for power, value in self._coeffs.items():
-            f = value.as_fraction()
-            if f.denominator != 1:
-                raise DomainError(f"coefficient {f} of x^{power} is not an integer")
-            terms[(power,)] = f.numerator
-        return MultiPoly(X_ONLY, terms)
-
-    def __repr__(self) -> str:
-        return f"QuadExtPoly({self._coeffs!r})"
-
-
-def _binomial_power(root: QuadExt, n: int, d: int) -> QuadExtPoly:
-    """(x - root)^n expanded by the binomial theorem."""
+def _binomial_power(root: QuadExt, n: int, d: int) -> list[QuadExt]:
+    """Ascending coefficients of (x - root)^n, by the binomial theorem."""
     minus = -root
-    coeffs: dict[int, QuadExt] = {}
+    coeffs: list[QuadExt] = []
     power_of_root = QuadExt(1, 0, d)
     for k in range(n, -1, -1):
-        coeffs[k] = power_of_root * math.comb(n, k)
+        coeffs.append(power_of_root * math.comb(n, k))
         if k:
             power_of_root = power_of_root * minus
-    return QuadExtPoly(coeffs)
+    coeffs.reverse()
+    return coeffs
+
+
+def _integer_poly(values: Sequence[QuadExt], name: str) -> MultiPoly:
+    """The polynomial over {x} with ascending coefficients ``values``.
+
+    Each value must have cancelled to an integer; anything else means the
+    root form did not reproduce an integer polynomial, and is reported.
+    """
+    terms = {}
+    for power, value in enumerate(values):
+        if not value.is_rational:
+            raise DomainError(f"{name}: coefficient {value} of x^{power} keeps a radical part")
+        if value.u.denominator != 1:
+            raise DomainError(f"{name}: coefficient {value.u} of x^{power} is not an integer")
+        terms[(power,)] = value.u.numerator
+    return MultiPoly(X_ONLY, terms)
 
 
 def root_form_pair(coeffs: QuadraticCoeffs, n: int,
-                   cap: int = DEFAULT_CAP) -> tuple[QuadExtPoly, QuadExtPoly]:
-    """The symmetric root-form pair
+                   cap: int = DEFAULT_CAP) -> tuple[MultiPoly, MultiPoly]:
+    """The symmetric root-form pair, as integer polynomials over {x}:
 
         P_n = a^(2^n - 1) (r1 (x - r2)^(2^n) - r2 (x - r1)^(2^n)) / (r1 - r2)
         Q_n = a^(2^n - 1) ((x - r2)^(2^n) - (x - r1)^(2^n)) / (r1 - r2)
 
-    Both come out with zero radical components (rational, in fact integral for
-    integer coefficients).
+    The sums are formed in Q(sqrt(d)); their radical parts must cancel and
+    their rational parts be integers, else DomainError names the coefficient.
     """
     check_index(n, cap)
     r1, r2 = roots(coeffs)
@@ -408,6 +354,6 @@ def root_form_pair(coeffs: QuadraticCoeffs, n: int,
     around_r1 = _binomial_power(r1, size, d)
     lead = QuadExt.lift(coeffs.a ** (size - 1), d)
     scalar = lead / (r1 - r2)
-    p = (around_r2.scale(r1) - around_r1.scale(r2)).scale(scalar)
-    q = (around_r2 - around_r1).scale(scalar)
-    return p, q
+    p = [(u * r1 - v * r2) * scalar for u, v in zip(around_r2, around_r1)]
+    q = [(u - v) * scalar for u, v in zip(around_r2, around_r1)]
+    return _integer_poly(p, "P"), _integer_poly(q, "Q")

@@ -38,7 +38,6 @@ from newtonpoly.qalgebra import (
     qbinomial,
     qbinomial_product_value,
     qbinomial_theorem_check,
-    specialize_commutative,
 )
 from newtonpoly.quadfield import conjugacy_check, root_form_pair
 from newtonpoly.smoothness import certify_pair
@@ -66,8 +65,8 @@ def test_criterion_1_three_way_equivalence():
         bindings = {"a": a, "b": b, "c": c}
         for n in range(5):
             rf_p, rf_q = root_form_pair(coeffs, n)
-            ok = ok and rf_p.to_multipoly() == closed_p(n).substitute(bindings)
-            ok = ok and rf_q.to_multipoly() == closed_q(n).substitute(bindings)
+            ok = ok and rf_p == closed_p(n).substitute(bindings)
+            ok = ok and rf_q == closed_q(n).substitute(bindings)
     ok = ok and (time.monotonic() - start) < 60
     report(1, "three-way equivalence", ok)
 
@@ -135,8 +134,8 @@ def test_criterion_7_q_analogue():
     for n in range(5):
         nc_p, nc_q = nc_iterate(n)
         pair = iterate_pair(n)
-        ok = ok and specialize_commutative(nc_p) == pair.p
-        ok = ok and specialize_commutative(nc_q) == pair.q
+        ok = ok and nc_p.substitute({"q": 1, "y": 1}) == pair.p
+        ok = ok and nc_q.substitute({"q": 1, "y": 1}) == pair.q
     ok = ok and qbinomial_theorem_check(6).passed
     for n in range(13):
         for k in range(n + 1):

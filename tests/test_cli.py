@@ -188,6 +188,12 @@ class TestVerify:
         ("qconjecture", "--max-n", "-3"),
         ("conjugacy", "--max-n", "0"),
         ("lemma1", "--max-n", "0"),
+        ("qbinom", "--max-n", "0"),
+        ("qbinom", "--max-n", "-1"),
+        ("qconjecture", "--commutative-max-n", "-1"),
+        ("qbinom", "--product-max-n", "-1"),
+        ("qbinom", "--symmetry-max-n", "-1"),
+        ("conjugacy", "--samples", "1/0"),
     ], ids=" ".join)
     def test_bad_range_is_usage_error(self, argv):
         result = run_cli("verify", *argv)
@@ -195,6 +201,12 @@ class TestVerify:
         assert result.stderr.startswith("usage error:")
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    def test_qconjecture_cap_bounds_commutative_range(self):
+        result = run_cli("verify", "qconjecture", "--max-n", "0", "--commutative-max-n", "5")
+        assert result.returncode == 3
+        assert result.stderr.startswith("resource cap:")
+        assert "Traceback" not in result.stderr
 
     def test_rootform_range_may_be_empty(self):
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")

@@ -4,7 +4,8 @@ The CLI pins were taken before the cap, binomial and phi helpers were merged;
 any refactor of those layers must leave every byte of these outputs alone.
 The noncommutative pins hash the (P'_n, Q'_n) pair itself, in the MultiPoly
 JSON schema over (a, b, c, q, x, y), and were taken while the pair was still
-stored as a map from words x^i y^j to coefficients over (a, b, c, q).
+stored as a map from words x^i y^j to coefficients over (a, b, c, q), with
+(i, j) appended as the last two exponents.
 """
 
 import hashlib
@@ -12,7 +13,6 @@ import hashlib
 import pytest
 
 from newtonpoly import cli
-from newtonpoly.polyring import MultiPoly, VariableSet
 from newtonpoly.qalgebra import nc_iterate
 
 # generate --n N: recurrence and closed emit the same bytes, so one pin per n.
@@ -122,15 +122,8 @@ def test_verify(capsys, argv):
     assert stdout_sha256(capsys, "verify", *argv) == VERIFY[argv]
 
 
-def _flat_dict(poly) -> dict:
-    # Word x^i y^j becomes the last two exponents over (a, b, c, q, x, y).
-    terms = {mono + word: c
-             for word, coeff in poly.words() for mono, c in coeff.sorted_terms()}
-    return MultiPoly(VariableSet("abcqxy"), terms).to_dict()
-
-
 @pytest.mark.parametrize("n", range(len(NC_ITERATE)))
 def test_nc_iterate(n):
-    digests = tuple(hashlib.sha256(cli.canonical_json(_flat_dict(poly)).encode()).hexdigest()
+    digests = tuple(hashlib.sha256(cli.canonical_json(poly.to_dict()).encode()).hexdigest()
                     for poly in nc_iterate(n))
     assert digests == NC_ITERATE[n]

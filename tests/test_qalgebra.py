@@ -3,18 +3,17 @@ import random
 import pytest
 
 from newtonpoly.closedform import binomial
-from newtonpoly.errors import ResourceCapError
+from newtonpoly.errors import ResourceCapError, StructuralError
 from newtonpoly.newton import iterate_pair
-from newtonpoly.polyring import ABCQ, MultiPoly
+from newtonpoly.polyring import ABCQ, ABCQXY, ABCX, MultiPoly, nc_mul
 from newtonpoly.qalgebra import (
-    NCPoly,
+    _first_differing_word,
     conjecture_check,
     nc_closed,
     nc_iterate,
     qbinomial,
     qbinomial_product_value,
     qbinomial_theorem_check,
-    specialize_commutative,
 )
 
 
@@ -25,6 +24,24 @@ def qpoly(*coeffs):
 
 def scalar(coeff, **powers):
     return MultiPoly.term(ABCQ, coeff, **powers)
+
+
+def nc(coeff=1, **powers):
+    """One term over (a, b, c, q, x, y); its x^i y^j is the normal-ordered word."""
+    return MultiPoly.term(ABCQXY, coeff, **powers)
+
+
+X, Y = nc(x=1), nc(y=1)
+
+
+def word_coefficient(poly, i, j):
+    """The coefficient over (a, b, c, q) of the word x^i y^j."""
+    return MultiPoly(ABCQ, {mono[:4]: c for mono, c in poly.sorted_terms()
+                            if mono[4:] == (i, j)})
+
+
+def words(poly):
+    return {mono[4:] for mono, _ in poly.sorted_terms()}
 
 
 class TestQBinomial:
@@ -69,47 +86,44 @@ class TestQBinomial:
 
 
 class TestNCPoly:
+    """Noncommutative polynomials are MultiPolys over ABCQXY multiplied by nc_mul."""
+
     def test_commutation_rule(self):
-        assert NCPoly.y_word() * NCPoly.x_word() == \
-            NCPoly({(1, 1): scalar(1, q=1)})
+        assert nc_mul(Y, X) == nc(1, q=1, x=1, y=1)
 
     def test_square_of_x_plus_y(self):
-        s = NCPoly.x_word() + NCPoly.y_word()
-        assert s * s == NCPoly({
-            (2, 0): qpoly(1), (1, 1): qpoly(1, 1), (0, 2): qpoly(1)})
+        s = X + Y
+        assert nc_mul(s, s) == nc(x=2) + nc(x=1, y=1) + nc(q=1, x=1, y=1) + nc(y=2)
 
     def test_multiplicative_identity(self):
-        u = NCPoly({(2, 1): scalar(3, a=1), (0, 2): scalar(-1, b=1, q=2)})
-        assert u * NCPoly.one() == u
-        assert NCPoly.one() * u == u
+        u = nc(3, a=1, x=2, y=1) + nc(-1, b=1, q=2, y=2)
+        one = MultiPoly.one(ABCQXY)
+        assert nc_mul(u, one) == u
+        assert nc_mul(one, u) == u
 
     def test_associativity_on_random_polys(self):
         rng = random.Random(40)
 
         def random_nc():
-            words = {}
+            total = MultiPoly.zero(ABCQXY)
             for _ in range(rng.randint(1, 4)):
-                word = (rng.randint(0, 3), rng.randint(0, 3))
-                words[word] = scalar(rng.randint(-5, 5),
-                                     a=rng.randint(0, 2), q=rng.randint(0, 2))
-            return NCPoly(words)
+                total = total + nc(rng.randint(-5, 5), a=rng.randint(0, 2),
+                                   q=rng.randint(0, 2), x=rng.randint(0, 3),
+                                   y=rng.randint(0, 3))
+            return total
 
         for _ in range(60):
             u, v, w = random_nc(), random_nc(), random_nc()
-            assert (u * v) * w == u * (v * w)
+            assert nc_mul(nc_mul(u, v), w) == nc_mul(u, nc_mul(v, w))
 
     def test_noncommutative_in_general(self):
-        x, y = NCPoly.x_word(), NCPoly.y_word()
-        assert x * y != y * x
+        assert nc_mul(X, Y) != nc_mul(Y, X)
 
-    def test_json_round_trip(self):
-        value = NCPoly({(2, 1): scalar(3, a=1, q=2), (0, 0): qpoly(-1, 4)})
-        assert NCPoly.from_dict(value.to_dict()) == value
-
-    def test_word_order_in_dict(self):
-        value = NCPoly({(0, 2): qpoly(1), (2, 0): qpoly(1), (1, 1): qpoly(1)})
-        order = [(w["x"], w["y"]) for w in value.to_dict()["words"]]
-        assert order == [(2, 0), (1, 1), (0, 2)]
+    def test_rejects_other_variable_sets(self):
+        with pytest.raises(StructuralError):
+            nc_mul(MultiPoly.variable(ABCX, "x"), MultiPoly.variable(ABCX, "x"))
+        with pytest.raises(StructuralError):
+            nc_mul(X, MultiPoly.variable(ABCQ, "q"))
 
 
 class TestSchutzenberger:
@@ -122,28 +136,27 @@ class TestSchutzenberger:
 class TestNCIterate:
     def test_seeds(self):
         p, q = nc_iterate(0)
-        assert p == NCPoly.x_word()
-        assert q == NCPoly.y_word()
+        assert p == X
+        assert q == Y
 
     def test_first_iterate_by_hand(self):
         p, q = nc_iterate(1)
-        assert p == NCPoly({(2, 0): scalar(1, a=1), (0, 2): scalar(-1, c=1)})
+        assert p == nc(1, a=1, x=2) + nc(-1, c=1, y=2)
         # a xy + a q xy from the reordered product, plus b y^2
-        assert q == NCPoly({(1, 1): scalar(1, a=1) + scalar(1, a=1, q=1),
-                            (0, 2): scalar(1, b=1)})
+        assert q == nc(1, a=1, x=1, y=1) + nc(1, a=1, q=1, x=1, y=1) + nc(1, b=1, y=2)
 
     @pytest.mark.parametrize("n", range(4))
     def test_homogeneous_of_degree_2n(self, n):
         p, q = nc_iterate(n)
-        assert p.degrees() == {2 ** n}
-        assert q.degrees() == {2 ** n}
+        assert {i + j for i, j in words(p)} == {2 ** n}
+        assert {i + j for i, j in words(q)} == {2 ** n}
 
     @pytest.mark.parametrize("n", range(5))
     def test_commutative_specialization(self, n):
         p, q = nc_iterate(n, cap=4)
         pair = iterate_pair(n)
-        assert specialize_commutative(p) == pair.p
-        assert specialize_commutative(q) == pair.q
+        assert p.substitute({"q": 1, "y": 1}) == pair.p
+        assert q.substitute({"q": 1, "y": 1}) == pair.q
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
@@ -153,8 +166,8 @@ class TestNCIterate:
 class TestNCClosed:
     def test_seeds(self):
         p, q = nc_closed(0)
-        assert p == NCPoly.x_word()
-        assert q == NCPoly.y_word()
+        assert p == X
+        assert q == Y
 
     def test_first_iterate(self):
         assert nc_closed(1) == nc_iterate(1)
@@ -164,11 +177,11 @@ class TestNCClosed:
         _, q = nc_closed(2)
         gauss41 = qpoly(1, 1, 1, 1)
         expected = gauss41 * (scalar(1, a=1, b=2) - scalar(1, a=2, c=1))
-        assert q.coefficient((1, 3)) == expected
+        assert word_coefficient(q, 1, 3) == expected
 
     def test_leading_word_of_p(self):
         p, _ = nc_closed(2)
-        assert p.coefficient((4, 0)) == scalar(1, a=3)
+        assert word_coefficient(p, 4, 0) == scalar(1, a=3)
 
 
 class TestConjecture:
@@ -182,3 +195,10 @@ class TestConjecture:
         report = conjecture_check(1)
         for entry in report.per_n:
             assert entry["first_differing_word"] is None
+
+    def test_first_differing_word_is_the_largest(self):
+        left = nc(1, x=2, y=1) + nc(2, a=1, x=1, y=2) + nc(1, y=3)
+        right = nc(1, x=2, y=1) + nc(1, a=1, x=1, y=2) + nc(5, b=1, x=0, y=1)
+        # x^2 y agrees; x y^2 is the largest word of degree 3 that differs
+        assert _first_differing_word(left, right) == (1, 2)
+        assert _first_differing_word(left, left) is None

@@ -5,10 +5,11 @@ import pytest
 
 from newtonpoly.closedform import closed_p, closed_q
 from newtonpoly.errors import DomainError, StructuralError
+from newtonpoly import quadfield
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
+from newtonpoly.polyring import X_ONLY
 from newtonpoly.quadfield import (
     QuadExt,
-    QuadExtPoly,
     conjugacy_check,
     phi_apply,
     phi_inverse,
@@ -206,15 +207,15 @@ class TestConjugacy:
 class TestRootForm:
     def test_n0_collapses(self):
         p, q = root_form_pair(QuadraticCoeffs(1, 1, -1), 0)
-        assert p.to_multipoly() == closed_p(0).substitute({"a": 1, "b": 1, "c": -1})
-        assert q.to_multipoly() == closed_q(0).substitute({"a": 1, "b": 1, "c": -1})
+        assert p == closed_p(0).substitute({"a": 1, "b": 1, "c": -1})
+        assert q == closed_q(0).substitute({"a": 1, "b": 1, "c": -1})
 
     def test_n1_worked_examples(self):
         p, q = root_form_pair(QuadraticCoeffs(1, 0, -1), 1)
-        assert p.to_multipoly() == closed_p(1).substitute({"a": 1, "b": 0, "c": -1})
-        assert [c.as_fraction() for _, c in p.coefficients()] == [1, 1]
+        assert p == closed_p(1).substitute({"a": 1, "b": 0, "c": -1})
+        assert [c for _, c in p.sorted_terms()] == [1, 1]
         p, q = root_form_pair(QuadraticCoeffs(1, -3, 2), 1)
-        assert [c.as_fraction() for _, c in q.coefficients()] == [2, -3]
+        assert [c for _, c in q.sorted_terms()] == [2, -3]
 
     @pytest.mark.parametrize("triple", FIVE_TRIPLES + IRRATIONAL_TRIPLES)
     def test_matches_substituted_closed_forms(self, triple):
@@ -223,25 +224,31 @@ class TestRootForm:
         bindings = {"a": a, "b": b, "c": c}
         for n in range(5):
             p, q = root_form_pair(coeffs, n)
-            assert p.radical_part_is_zero()
-            assert q.radical_part_is_zero()
-            assert p.to_multipoly() == closed_p(n).substitute(bindings)
-            assert q.to_multipoly() == closed_q(n).substitute(bindings)
+            assert p.varset == q.varset == X_ONLY
+            assert p == closed_p(n).substitute(bindings)
+            assert q == closed_q(n).substitute(bindings)
 
     def test_degenerate_discriminant_rejected(self):
         with pytest.raises(DomainError):
             root_form_pair(QuadraticCoeffs(1, 2, 1), 1)
 
-    def test_quadextpoly_arithmetic(self):
-        d = 5
-        one = QuadExt(1, 0, d)
-        root = QuadExt(0, 1, d)
-        linear = QuadExtPoly({1: one, 0: -root})      # x - sqrt5
-        square = linear * linear
-        assert square.coefficient(2) == 1
-        assert square.coefficient(1) == QuadExt(0, -2, d)
-        assert square.coefficient(0) == 5
-        assert (square - square).degree == 0
+    @pytest.mark.parametrize("extra, message", [
+        (QuadExt(0, 1, 5), "keeps a radical part"),
+        (QuadExt(Fraction(1, 2), 0, 5), "is not an integer"),
+    ], ids=["radical", "fraction"])
+    def test_coefficient_guard(self, monkeypatch, extra, message):
+        # Shift the constant term of both expansions: P's constant coefficient
+        # gains extra * a^(2^n - 1), which the guard must refuse to round away.
+        expand = quadfield._binomial_power
+
+        def shifted(root, n, d):
+            coeffs = expand(root, n, d)
+            coeffs[0] = coeffs[0] + extra
+            return coeffs
+
+        monkeypatch.setattr(quadfield, "_binomial_power", shifted)
+        with pytest.raises(DomainError, match=f"P: coefficient .* of x\\^0 {message}"):
+            root_form_pair(QuadraticCoeffs(1, 1, -1), 2)
 
 
 class TestCrossRouteValue:
@@ -249,8 +256,6 @@ class TestCrossRouteValue:
         coeffs = QuadraticCoeffs(1, 1, -1)
         p, q = root_form_pair(coeffs, 3)
         z = Fraction(5, 7)
-        numerator = sum(
-            c.as_fraction() * z ** power for power, c in p.coefficients())
-        denominator = sum(
-            c.as_fraction() * z ** power for power, c in q.coefficients())
+        numerator = sum(c * z ** power for (power,), c in p.sorted_terms())
+        denominator = sum(c * z ** power for (power,), c in q.sorted_terms())
         assert numerator / denominator == iterate_value(coeffs, z, 3)
