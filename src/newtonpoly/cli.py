@@ -310,9 +310,10 @@ _SUITE_DEFAULT_MAX_N = {
     "qconjecture": 3, "qbinom": 6,
 }
 
-# Smallest --max-n at which each of these suites checks anything at all.
+# Smallest --max-n at which each of these suites checks anything at all
+# (lemma1's induction-step recurrence starts at n = 2).
 _SUITE_MIN_MAX_N = {
-    "equivalence": 0, "coprime": 0, "qconjecture": 0, "conjugacy": 1, "lemma1": 1,
+    "equivalence": 0, "coprime": 0, "qconjecture": 0, "conjugacy": 1, "lemma1": 2,
     "qbinom": 1,
 }
 

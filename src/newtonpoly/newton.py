@@ -5,12 +5,26 @@ The pair (P_n, Q_n) is grown by the squaring recurrence
     P_{n+1} = a P_n^2 - c Q_n^2
     Q_{n+1} = 2a P_n Q_n + b Q_n^2        (P_0, Q_0) = (x, 1)
 
-entirely in Z[a,b,c][x].  Relative primality of the pair is certified two
-ways: an exact Sylvester resultant (nonzero as a polynomial) for small n, and
-randomized integer specializations of (a, b, c) followed by a univariate GCD
-over the rationals for all n.  A single specialization witness with GCD
-degree 0 already proves the symbolic pair coprime; the resultant route is an
-independent exact certificate kept where the matrices stay small.
+entirely in Z[a,b,c][x].  The pair is homogeneous: every monomial
+a^i b^j c^k x^e of P_n has i + j + k = 2^n - 1 and j + 2k + e = 2^n, and
+every monomial of Q_n has the same i + j + k and j + 2k + e = 2^n - 1.  So
+(k, e), the exponents of c and x, name a term, and each polynomial is a
+half-full 2-D grid of integers.  On that grid multiplying by a or b is the
+identity (their exponents are implied) and multiplying by c shifts one row.
+Each step packs both grids into single integers by Kronecker substitution,
+takes the three products P^2, Q^2 and PQ as big-integer multiplies, forms
+
+    P' = P^2 - (Q^2 shifted one c-row)        Q' = 2 PQ + Q^2
+
+and unpacks the result.  The grid becomes an (a, b, c, x) polynomial once,
+after the last step.  The recurrence never consults the closed form.
+
+Relative primality of the pair is certified two ways: an exact Sylvester
+resultant (nonzero as a polynomial) for small n, and randomized integer
+specializations of (a, b, c) followed by a univariate GCD over the rationals
+for all n.  A single specialization witness with GCD degree 0 already proves
+the symbolic pair coprime; the resultant route is an independent exact
+certificate kept where the matrices stay small.
 """
 
 from __future__ import annotations
@@ -56,9 +70,6 @@ class QuadraticCoeffs:
         return all(v.denominator == 1 for v in (self.a, self.b, self.c))
 
 
-_A = MultiPoly.variable(ABCX, "a")
-_B = MultiPoly.variable(ABCX, "b")
-_C = MultiPoly.variable(ABCX, "c")
 _X = MultiPoly.variable(ABCX, "x")
 
 
@@ -121,13 +132,97 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
     return z
 
 
+# ---------------------------------------------------------------- packed recurrence
+#
+# A grid is a flat list of integers, row k (the c exponent) after row k - 1,
+# `width` cells per row, cell e holding the coefficient of x^e.  Its Kronecker
+# image puts cell (k, e) in slot k * stride + e of an integer, each slot
+# `size` bytes wide.  The stride must exceed every x exponent of a product.
+
+
+def _pack(cells: list[int], width: int, stride: int, size: int) -> int:
+    """Kronecker image of a signed grid: positive part minus negative part."""
+    zero = bytes(size)
+    pad = zero * (stride - width)
+    positive, negative = bytearray(), bytearray()
+    for start in range(0, len(cells), width):
+        for coeff in cells[start:start + width]:
+            if coeff > 0:
+                positive += coeff.to_bytes(size, "little")
+                negative += zero
+            elif coeff < 0:
+                positive += zero
+                negative += (-coeff).to_bytes(size, "little")
+            else:
+                positive += zero
+                negative += zero
+        positive += pad
+        negative += pad
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _unpack(value: int, slots: int, size: int) -> list[int]:
+    """Inverse of ``_pack`` for slot values in [-2^(8 size - 1), 2^(8 size - 1)).
+
+    Adding 2^(8 size - 1) to every slot makes each one nonnegative and
+    carry-free, so the slots can be read back as plain bytes.
+    """
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    raw = memoryview((value + bias).to_bytes(slots * size, "little"))
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, slots * size, size)]
+
+
+def _step(p: list[int], q: list[int], width: int) -> tuple[list[int], list[int], int]:
+    """One recurrence step on the (c, x) grids; returns (P', Q', width')."""
+    stride = 2 * width - 1               # x-degree of a product, plus one
+    # A slot of P' or Q' sums at most 3 * terms products of two coefficients,
+    # so this many bits (one for the sign) can never overflow.
+    terms = max(sum(1 for v in p if v), sum(1 for v in q if v))
+    bits = 2 * max(map(int.bit_length, p + q)) + terms.bit_length() + 3
+    size = (bits + 7) // 8
+    packed_p, packed_q = _pack(p, width, stride, size), _pack(q, width, stride, size)
+    p_sq, q_sq, pq = packed_p * packed_p, packed_q * packed_q, packed_p * packed_q
+    p_rows, q_rows = len(p) // width, len(q) // width
+    new_p = _unpack(p_sq - (q_sq << (8 * size * stride)),
+                    max(2 * p_rows - 1, 2 * q_rows) * stride, size)
+    new_q = _unpack((pq << 1) + q_sq, max(p_rows + q_rows - 1, 2 * q_rows - 1) * stride, size)
+    return new_p, new_q, stride
+
+
+def _lift(cells: list[int], width: int, degree: int, weight: int) -> MultiPoly:
+    """Grid to polynomial: i + j + k = degree and j + 2k + e = weight fix i and j.
+
+    Zero cells are skipped and distinct cells give distinct monomials, so the
+    terms are canonical as built.
+    """
+    terms = {}
+    for index, coeff in enumerate(cells):
+        if coeff:
+            k, e = divmod(index, width)
+            j = weight - 2 * k - e
+            terms[(degree - j - k, j, k, e)] = coeff
+    return MultiPoly._raw(ABCX, terms)
+
+
 def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
-    """The exact symbolic pair (P_n, Q_n) grown by the squaring recurrence."""
+    """The exact symbolic pair (P_n, Q_n) grown by the squaring recurrence.
+
+    Every monomial a^i b^j c^k x^e has i + j + k = 2^n - 1, and j + 2k + e
+    is 2^n in P_n and 2^n - 1 in Q_n, so the recurrence runs on the grids of
+    (c, x) exponents: for n >= 1, P_n fills half of a (2^(n-1) + 1) by
+    (2^n + 1) grid.  Each step packs both grids by Kronecker substitution and takes three
+    big-integer products, P^2, Q^2 and PQ.  A slot is 2 * (max coefficient
+    bits) + bitlen(terms) + 3 bits wide, rounded up to whole bytes, which
+    bounds every coefficient of P' and Q', so the result is exact for every n.
+    """
     check_index(n, cap)
-    p, q = _X, MultiPoly.one(ABCX)
+    p, q, width = [0, 1], [1, 0], 2      # P_0 = x and Q_0 = 1, cells e = 0, 1
     for _ in range(n):
-        p, q = _A * p * p - _C * q * q, 2 * _A * p * q + _B * q * q
-    return NewtonPair(n, p, q)
+        p, q, width = _step(p, q, width)
+    size = 2 ** n
+    return NewtonPair(n, _lift(p, width, size - 1, size), _lift(q, width, size - 1, size - 1))
 
 
 def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> Fraction:

@@ -270,22 +270,34 @@ class MultiPoly:
     # ------------------------------------------------------------------ evaluation
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact rational value at a point; every used variable must be assigned."""
+        """Exact rational value at a point; every used variable must be assigned.
+
+        The sum runs over integers only.  With variable i at num_i/den_i and
+        top_i its largest exponent, each term is scaled to the common
+        denominator prod den_i^top_i through the table num_i^e den_i^(top_i - e),
+        so the one Fraction is built at the end.
+        """
         point: list[Fraction | None] = [None] * len(self.varset)
         for name, value in assignment.items():
             point[self.varset.index(name)] = Fraction(value)
-        total = Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        tables: list[tuple[int, list[int]]] = []
+        denominator = 1
+        for i, top in enumerate(map(max, zip(*self._terms))):
+            if top == 0:
+                continue
+            if point[i] is None:
+                raise StructuralError(f"no value assigned for variable {self.varset.names[i]!r}")
+            num, den = point[i].numerator, point[i].denominator
+            tables.append((i, [num ** e * den ** (top - e) for e in range(top + 1)]))
+            denominator *= den ** top
+        total = 0
         for mono, coeff in self._terms.items():
-            term = Fraction(coeff)
-            for i, exp in enumerate(mono):
-                if exp == 0:
-                    continue
-                if point[i] is None:
-                    raise StructuralError(
-                        f"no value assigned for variable {self.varset.names[i]!r}")
-                term *= point[i] ** exp
-            total += term
-        return total
+            for i, table in tables:
+                coeff *= table[mono[i]]
+            total += coeff
+        return Fraction(total, denominator)
 
     def substitute(self, bindings: Mapping[str, int]) -> "MultiPoly":
         """Bind a subset of variables to exact integers; the rest stay symbolic.

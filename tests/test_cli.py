@@ -188,6 +188,7 @@ class TestVerify:
         ("qconjecture", "--max-n", "-3"),
         ("conjugacy", "--max-n", "0"),
         ("lemma1", "--max-n", "0"),
+        ("lemma1", "--max-n", "1"),
         ("qbinom", "--max-n", "0"),
         ("qbinom", "--max-n", "-1"),
         ("qconjecture", "--commutative-max-n", "-1"),

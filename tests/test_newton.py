@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from newtonpoly.closedform import closed_p, closed_q
 from newtonpoly.errors import DomainError, ResourceCapError, StructuralError
 from newtonpoly.newton import (
     CoprimalityReport,
@@ -20,6 +21,15 @@ from newtonpoly.polyring import ABCX, MultiPoly
 
 def term(coeff, **powers):
     return MultiPoly.term(ABCX, coeff, **powers)
+
+
+def schoolbook_pair(n):
+    """The recurrence on sparse term dictionaries, one MultiPoly product at a time."""
+    a, b, c = (MultiPoly.variable(ABCX, name) for name in "abc")
+    p, q = MultiPoly.variable(ABCX, "x"), MultiPoly.one(ABCX)
+    for _ in range(n):
+        p, q = a * p * p - c * q * q, 2 * a * p * q + b * q * q
+    return p, q
 
 
 class TestQuadraticCoeffs:
@@ -83,6 +93,23 @@ class TestIteratePair:
         assert pair.q.degree_in("x") == size - 1
         assert pair.p.coefficients_in("x")[size] == term(1, a=size - 1)
         assert pair.q.coefficients_in("x")[size - 1] == term(size, a=size - 1)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_schoolbook_recurrence(self, n):
+        pair = iterate_pair(n)
+        assert (pair.p, pair.q) == schoolbook_pair(n)
+
+    def test_matches_closed_form_at_n7(self):
+        pair = iterate_pair(7)
+        assert (pair.p, pair.q) == (closed_p(7), closed_q(7))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_homogeneity_invariant(self, n):
+        pair = iterate_pair(n)
+        size = 2 ** n
+        for poly, weight in ((pair.p, size), (pair.q, size - 1)):
+            for (i, j, k, e), _ in poly.sorted_terms():
+                assert (i + j + k, j + 2 * k + e) == (size - 1, weight)
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):

@@ -159,6 +159,48 @@ class TestEvaluate:
         assert (p + r).evaluate(point) == p.evaluate(point) + r.evaluate(point)
         assert (p * r).evaluate(point) == p.evaluate(point) * r.evaluate(point)
 
+    @staticmethod
+    def _per_term_reference(p, point):
+        """Sum of Fraction terms, one power at a time: the textbook evaluation."""
+        total = Fraction(0)
+        for mono, coeff in p.sorted_terms():
+            term = Fraction(coeff)
+            for name, exp in zip(p.varset.names, mono):
+                term *= Fraction(point[name]) ** exp
+            total += term
+        return total
+
+    def test_matches_per_term_fractions(self):
+        rng = random.Random(20)
+        values = [0, 1, -1, 7, -12, Fraction(1, 2), Fraction(-5, 3), Fraction(22, 7),
+                  Fraction(-1, 9)]
+        for _ in range(300):
+            p = random_poly(rng, ABCX, max_terms=8, max_exp=5, coeff_bound=10 ** 6)
+            point = {name: rng.choice(values) for name in ABCX}
+            result = p.evaluate(point)
+            assert isinstance(result, Fraction)
+            assert result == self._per_term_reference(p, point)
+
+    def test_unassigned_variable_raises_only_when_used(self):
+        rng = random.Random(21)
+        checked = 0
+        for _ in range(200):
+            p = random_poly(rng, ABCX, max_terms=4, max_exp=2)
+            point = {"a": Fraction(3, 4), "b": -2, "c": 0, "x": Fraction(-1, 5)}
+            missing = rng.choice(ABCX.names)
+            del point[missing]
+            if p.degree_in(missing) > 0:
+                with pytest.raises(StructuralError, match=repr(missing)):
+                    p.evaluate(point)
+                checked += 1
+            else:
+                assert p.evaluate(point) == self._per_term_reference(p, {**point, missing: 0})
+        assert checked > 50
+
+    def test_zero_polynomial_needs_no_values(self):
+        assert MultiPoly.zero(ABCX).evaluate({}) == 0
+        assert MultiPoly.one(ABCX).evaluate({}) == 1
+
 
 class TestSubstitute:
     def test_specializes_p1(self):
