@@ -23,11 +23,6 @@ from .newton import DEFAULT_CAP, NewtonPair, QuadraticCoeffs
 # Reference coefficient triples used by the equivalence and conjugacy suites.
 REFERENCE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
 
-# Sample pool for pointwise conjugacy checks; poles are skipped per sample.
-SAMPLE_POOL = tuple(Fraction(s) for s in (
-    "2", "3", "4", "5", "7", "-2", "1/2", "1/3", "2/3", "5/4", "-5/3",
-    "7/5", "9/7", "11/3", "-7/2"))
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -157,23 +152,13 @@ def _suite_coprime(args) -> tuple[bool, dict]:
     return ok, report
 
 
-def _parse_samples(text: str | None):
-    if text is None:
-        return SAMPLE_POOL
-    try:
-        return tuple(Fraction(piece) for piece in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructuralError(f"bad --samples value: {exc}") from exc
-
-
 def _suite_conjugacy(args) -> tuple[bool, dict]:
-    samples = _parse_samples(args.samples)
     results = []
     ok = True
     for a, b, c in REFERENCE_TRIPLES:
         coeffs = QuadraticCoeffs(a, b, c)
         for n in range(1, args.max_n + 1):
-            result = quadfield.conjugacy_check(coeffs, n, samples)
+            result = quadfield.conjugacy_check(coeffs, n, args.samples, cap=args.cap)
             enough = result.checked >= args.min_checked
             results.append({"report": result.to_dict(), "enough_samples": enough})
             ok = ok and result.passed and enough
@@ -236,25 +221,40 @@ def _suite_qbinom(args) -> tuple[bool, dict]:
     return ok, report
 
 
-_SUITES = {
-    "equivalence": _suite_equivalence,
-    "smoothness": _suite_smoothness,
-    "lemma1": _suite_lemma1,
-    "coprime": _suite_coprime,
-    "conjugacy": _suite_conjugacy,
-    "qconjecture": _suite_qconjecture,
-    "qbinom": _suite_qbinom,
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ok, report = _SUITES[args.suite](args)
+    ok, report = args.check(args)
     _emit(canonical_json(report), args.out)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a StructuralError (exit 2) instead of exiting."""
+
+    def error(self, message: str):
+        raise StructuralError(f"{self.prog}: {message}")
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in "invalid int value"
+    return parse
+
+
+def _samples(text: str) -> tuple[Fraction, ...]:
+    """argparse type: comma-separated exact sample points."""
+    try:
+        return tuple(Fraction(piece) for piece in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="newtonpoly",
         description="Exact construction and verification of Newton-iterate "
                     "polynomials for the general quadratic.")
@@ -285,67 +285,60 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=_cmd_eval)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=sorted(_SUITES))
-    ver.add_argument("--max-n", dest="max_n", type=int, default=None)
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--mode", choices=smoothness.MODES, default="inclusive")
-    ver.add_argument("--trials", type=int, default=10)
-    ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument("--cap", type=int, default=None)
-    ver.add_argument("--rootform-max-n", dest="rootform_max_n", type=int, default=4)
-    ver.add_argument("--commutative-max-n", dest="commutative_max_n", type=int, default=4)
-    ver.add_argument("--product-max-n", dest="product_max_n", type=int, default=12)
-    ver.add_argument("--symmetry-max-n", dest="symmetry_max_n", type=int, default=16)
-    ver.add_argument("--min-checked", dest="min_checked", type=int, default=10)
-    ver.add_argument("--samples", help="comma-separated exact sample points "
-                                       "for the conjugacy suite")
-    ver.add_argument("--report", "--out", dest="out",
-                     help="write the report JSON to this path instead of stdout")
-    ver.set_defaults(func=_cmd_verify)
+    suites = ver.add_subparsers(dest="suite", required=True, metavar="suite")
+
+    def suite(name: str, check, summary: str) -> argparse.ArgumentParser:
+        flags = suites.add_parser(name, help=summary)
+        flags.add_argument("--report", "--out", dest="out",
+                           help="write the report JSON to this path instead of stdout")
+        flags.set_defaults(func=_cmd_verify, check=check)
+        return flags
+
+    # Each minimum is the smallest index at which that range checks anything,
+    # so a range that would check nothing is a usage error, not a vacuous pass.
+    s = suite("equivalence", _suite_equivalence, "recurrence = closed form = root form")
+    s.add_argument("--max-n", type=_int_at_least(0), default=5)
+    s.add_argument("--rootform-max-n", type=int, default=4)
+    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
+
+    s = suite("smoothness", _suite_smoothness, "every coefficient is 2^n-smooth")
+    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--mode", choices=smoothness.MODES, default="inclusive")
+    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
+
+    s = suite("lemma1", _suite_lemma1, "Lemma 1 identity and its induction step")
+    s.add_argument("--max-n", type=_int_at_least(2), default=64)
+
+    s = suite("coprime", _suite_coprime, "P_n and Q_n are relatively prime")
+    s.add_argument("--max-n", type=_int_at_least(0), default=5)
+    s.add_argument("--trials", type=int, default=10)
+    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
+
+    s = suite("conjugacy", _suite_conjugacy, "Newton map is conjugate to squaring")
+    s.add_argument("--max-n", type=_int_at_least(1), default=4)
+    s.add_argument("--min-checked", type=int, default=10)
+    s.add_argument("--samples", type=_samples,
+                   default="2,3,4,5,7,-2,1/2,1/3,2/3,5/4,-5/3,7/5,9/7,11/3,-7/2",
+                   help="comma-separated exact sample points; a pole skips its sample")
+    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
+
+    s = suite("qconjecture", _suite_qconjecture, "the q-analogue of the closed form")
+    s.add_argument("--max-n", type=_int_at_least(0), default=3)
+    s.add_argument("--commutative-max-n", type=_int_at_least(0), default=4)
+    # The noncommutative pair is far denser; its own default cap applies.
+    s.add_argument("--cap", type=int, default=qalgebra.DEFAULT_NC_CAP)
+
+    s = suite("qbinom", _suite_qbinom, "q-binomial theorem, product formula, symmetry")
+    s.add_argument("--max-n", type=_int_at_least(1), default=6)
+    s.add_argument("--product-max-n", type=_int_at_least(0), default=12)
+    s.add_argument("--symmetry-max-n", type=_int_at_least(0), default=16)
     return parser
 
 
-_SUITE_DEFAULT_MAX_N = {
-    "equivalence": 5, "lemma1": 64, "coprime": 5, "conjugacy": 4,
-    "qconjecture": 3, "qbinom": 6,
-}
-
-# Smallest --max-n at which each of these suites checks anything at all
-# (lemma1's induction-step recurrence starts at n = 2).
-_SUITE_MIN_MAX_N = {
-    "equivalence": 0, "coprime": 0, "qconjecture": 0, "conjugacy": 1, "lemma1": 2,
-    "qbinom": 1,
-}
-
-# Sub-check ranges that start at 0; a negative one would check nothing.
-_SUBCHECK_MAX_N = ("commutative_max_n", "product_max_n", "symmetry_max_n")
-
-
-def _normalize(args: argparse.Namespace) -> None:
-    if args.command == "verify":
-        if args.max_n is None:
-            args.max_n = _SUITE_DEFAULT_MAX_N.get(args.suite, 4)
-        minimum = _SUITE_MIN_MAX_N.get(args.suite)
-        if minimum is not None and args.max_n < minimum:
-            raise StructuralError(f"verify {args.suite} needs --max-n >= {minimum}")
-        for name in _SUBCHECK_MAX_N:
-            if getattr(args, name) < 0:
-                raise StructuralError(f"--{name.replace('_', '-')} must be >= 0")
-        if args.suite == "smoothness":
-            if args.n is None:
-                raise StructuralError("verify smoothness requires --n")
-        if args.cap is None:
-            # The noncommutative pair is far denser; its own default cap applies.
-            args.cap = qalgebra.DEFAULT_NC_CAP if args.suite == "qconjecture" else DEFAULT_CAP
-    if args.command in ("generate", "eval") and args.n < 0:
-        raise StructuralError("--n must be nonnegative")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _normalize(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -91,14 +91,13 @@ class NewtonPair:
         if self.p.varset != ABCX or self.q.varset != ABCX:
             raise StructuralError("pair polynomials must live over (a, b, c, x)")
         size = 2 ** self.n
-        if self.p.degree_in("x") != size:
-            raise StructuralError(f"deg_x P = {self.p.degree_in('x')}, expected {size}")
-        if self.q.degree_in("x") != size - 1:
-            raise StructuralError(f"deg_x Q = {self.q.degree_in('x')}, expected {size - 1}")
-        if self.p.coefficients_in("x")[size] != MultiPoly.term(ABCX, 1, a=size - 1):
-            raise StructuralError("leading x-coefficient of P is not a^(2^n - 1)")
-        if self.q.coefficients_in("x")[size - 1] != MultiPoly.term(ABCX, size, a=size - 1):
-            raise StructuralError("leading x-coefficient of Q is not 2^n a^(2^n - 1)")
+        for name, poly, degree, lead in (("P", self.p, size, 1), ("Q", self.q, size - 1, size)):
+            if poly.degree_in("x") != degree:
+                raise StructuralError(f"deg_x {name} = {poly.degree_in('x')}, expected {degree}")
+            # One pass over the x^degree terms: exactly lead * a^(2^n - 1), nothing else.
+            if ({m: c for m, c in poly._terms.items() if m[3] == degree}
+                    != {(size - 1, 0, 0, degree): lead}):
+                raise StructuralError(f"leading x-coefficient of {name} != {lead} a^{size - 1}")
         if self.n == 0 and (self.p != _X or self.q != MultiPoly.one(ABCX)):
             raise StructuralError("the 0th pair must be exactly (x, 1)")
 

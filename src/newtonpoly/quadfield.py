@@ -269,15 +269,16 @@ class ConjugacyReport:
         }
 
 
-def conjugacy_check(coeffs: QuadraticCoeffs, n: int,
-                    samples: Iterable[Fraction | int]) -> ConjugacyReport:
+def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction | int],
+                    cap: int = DEFAULT_CAP) -> ConjugacyReport:
     """Check N^n(z) = phi^-1(phi(z)^(2^n)) exactly at each sample.
 
     Samples that hit a pole on either route are skipped with the reason
-    recorded; a skip is not a failure.
+    recorded; a skip is not a failure.  n above ``cap`` is a ResourceCapError.
     """
     if n < 1:
         raise ValueError(f"iteration count must be positive, got {n}")
+    check_index(n, cap)
     r = roots(coeffs)
     traces: list[SampleTrace] = []
     for raw in samples:

@@ -35,13 +35,13 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(2, limit) if flags[i]]
 
 
-def _admissible_primes(bound: int, mode: str) -> list[int]:
+def _admissible_primes(bound: int, mode: str) -> tuple[int, list[int]]:
+    """The largest admissible prime, p <= bound or p < bound by mode (decided
+    here only), and every prime up to it, ascending."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    limit = bound + 1 if mode == "inclusive" else bound
-    if limit < 2:
-        return []
-    return sieve_primes(limit)
+    top = bound if mode == "inclusive" else bound - 1
+    return top, sieve_primes(top + 1) if top >= 2 else []
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,14 @@ def smooth_part(value: int, bound: int, mode: str = "inclusive") -> SmoothPart:
     """Factor out all primes under the bound; smooth iff nothing is left over."""
     if value < 1:
         raise ValueError(f"value must be positive, got {value}")
+    return _factor_over(value, *_admissible_primes(bound, mode))
+
+
+def _factor_over(value: int, top: int, primes: list[int]) -> SmoothPart:
+    """smooth_part of ``value`` given the primes up to ``top``, ascending."""
     remaining = value
     factorization: dict[int, int] = {}
-    for prime in _admissible_primes(bound, mode):
+    for prime in primes:
         if prime * prime > remaining:
             break
         multiplicity = 0
@@ -75,8 +80,8 @@ def smooth_part(value: int, bound: int, mode: str = "inclusive") -> SmoothPart:
         if multiplicity:
             factorization[prime] = multiplicity
     # Once prime^2 exceeds it, what remains is 1 or a single prime; it counts
-    # as part of the smooth factorization only if it is under the bound.
-    if remaining > 1 and (remaining <= bound if mode == "inclusive" else remaining < bound):
+    # as part of the smooth factorization only if it is admissible.
+    if 1 < remaining <= top:
         factorization[remaining] = factorization.get(remaining, 0) + 1
         remaining = 1
     return SmoothPart(smooth=remaining == 1, residual=remaining,
@@ -149,13 +154,14 @@ def certify_pair(pair: NewtonPair, mode: str = "inclusive") -> SmoothnessReport:
     witness that smoothness is not explained by the coefficients being small.
     """
     bound = 2 ** pair.n
+    top, primes = _admissible_primes(bound, mode)     # sieved once for the pair
     entries: list[SmoothnessEntry] = []
     max_abs = 0
     exceeding = 0
     for name, poly in (("P", pair.p), ("Q", pair.q)):
         for monomial, coefficient in poly.sorted_terms():
             magnitude = abs(coefficient)
-            part = smooth_part(magnitude, bound, mode)
+            part = _factor_over(magnitude, top, primes)
             entries.append(SmoothnessEntry(
                 poly=name, monomial=monomial, coefficient_abs=magnitude,
                 smooth=part.smooth, residual=part.residual,

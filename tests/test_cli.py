@@ -195,6 +195,11 @@ class TestVerify:
         ("qbinom", "--product-max-n", "-1"),
         ("qbinom", "--symmetry-max-n", "-1"),
         ("conjugacy", "--samples", "1/0"),
+        # a flag the suite does not take must not be silently ignored
+        ("smoothness", "--n", "2", "--max-n", "3"),
+        ("lemma1", "--cap", "2"),
+        ("equivalence", "--trials", "3"),
+        ("qbinom", "--samples", "2"),
     ], ids=" ".join)
     def test_bad_range_is_usage_error(self, argv):
         result = run_cli("verify", *argv)
@@ -208,6 +213,13 @@ class TestVerify:
         assert result.returncode == 3
         assert result.stderr.startswith("resource cap:")
         assert "Traceback" not in result.stderr
+
+    def test_conjugacy_honours_cap(self):
+        result = run_cli("verify", "conjugacy", "--max-n", "3", "--cap", "2")
+        assert result.returncode == 3
+        assert result.stderr.startswith("resource cap:")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
     def test_rootform_range_may_be_empty(self):
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")

@@ -124,6 +124,16 @@ class TestIteratePair:
         with pytest.raises(StructuralError):
             NewtonPair(0, good.p, good.q)
 
+    @pytest.mark.parametrize("poly, extra", [("p", {"b": 1, "x": 2}), ("q", {"c": 1, "x": 1})])
+    def test_leading_coefficient_with_extra_term_rejected(self, poly, extra):
+        # The expected leading monomial keeps its coefficient; only a second
+        # term at the top x-power is wrong, which a single lookup would miss.
+        good = iterate_pair(1)
+        polys = {"p": good.p, "q": good.q}
+        polys[poly] = polys[poly] + MultiPoly.term(ABCX, 1, **extra)
+        with pytest.raises(StructuralError, match="leading x-coefficient"):
+            NewtonPair(1, polys["p"], polys["q"])
+
     def test_json_round_trip(self):
         pair = iterate_pair(2)
         assert NewtonPair.from_dict(pair.to_dict()) == pair

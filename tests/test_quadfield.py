@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from newtonpoly.closedform import closed_p, closed_q
-from newtonpoly.errors import DomainError, StructuralError
+from newtonpoly.errors import DomainError, ResourceCapError, StructuralError
 from newtonpoly import quadfield
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import X_ONLY
@@ -195,6 +195,14 @@ class TestConjugacy:
             report = conjugacy_check(QuadraticCoeffs(*triple), n, samples)
             assert report.passed
             assert report.checked >= 10
+
+    def test_cap(self):
+        coeffs = QuadraticCoeffs(1, 0, -1)
+        with pytest.raises(ResourceCapError):
+            conjugacy_check(coeffs, 9, [2])
+        with pytest.raises(ResourceCapError):
+            conjugacy_check(coeffs, 3, [2], cap=2)
+        assert conjugacy_check(coeffs, 2, [2], cap=2).passed
 
     def test_report_dict(self):
         report = conjugacy_check(QuadraticCoeffs(1, 0, -1), 1, [2, 0])

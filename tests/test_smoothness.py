@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newtonpoly.newton import iterate_pair
+from newtonpoly import smoothness
 from newtonpoly.smoothness import certify_pair, sieve_primes, smooth_part
 
 
@@ -114,6 +115,23 @@ class TestCertifyPair:
             for prime, mult in entry.factorization.items():
                 value *= prime ** mult
             assert value == entry.coefficient_abs
+
+    @pytest.mark.parametrize("mode", ["inclusive", "strict"])
+    def test_sieves_once_and_matches_smooth_part(self, monkeypatch, mode):
+        pair = iterate_pair(4)
+        limits = []
+
+        def counting_sieve(limit):
+            limits.append(limit)
+            return sieve_primes(limit)
+
+        monkeypatch.setattr(smoothness, "sieve_primes", counting_sieve)
+        report = certify_pair(pair, mode=mode)
+        assert limits == [17 if mode == "inclusive" else 16]
+        for entry in report.entries:
+            part = smooth_part(entry.coefficient_abs, 16, mode)
+            assert (entry.smooth, entry.residual, entry.factorization) == (
+                part.smooth, part.residual, part.factorization)
 
     def test_report_dict_shape(self):
         data = certify_pair(iterate_pair(1), mode="strict").to_dict()
