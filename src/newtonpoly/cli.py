@@ -95,11 +95,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _suite_equivalence(args) -> tuple[bool, dict]:
     per_n = []
+    closed = []                      # (closed_p(n), closed_q(n)), built once per n
     ok = True
     for n in range(args.max_n + 1):
         pair = newton.iterate_pair(n, cap=args.cap)
-        match = (pair.p == closedform.closed_p(n, cap=args.cap)
-                 and pair.q == closedform.closed_q(n, cap=args.cap))
+        closed.append((closedform.closed_p(n, cap=args.cap), closedform.closed_q(n, cap=args.cap)))
+        match = (pair.p, pair.q) == closed[n]
         per_n.append({"n": n, "recurrence_equals_closed": match})
         ok = ok and match
     rootform_results = []
@@ -112,8 +113,9 @@ def _suite_equivalence(args) -> tuple[bool, dict]:
             except DomainError:      # a coefficient kept a radical or fractional part
                 match = False
             else:
-                match = (rf_p == closedform.closed_p(n).substitute(bindings)
-                         and rf_q == closedform.closed_q(n).substitute(bindings))
+                closed_p, closed_q = closed[n]
+                match = (rf_p == closed_p.substitute(bindings)
+                         and rf_q == closed_q.substitute(bindings))
             rootform_results.append({"coeffs": [a, b, c], "n": n, "match": match})
             ok = ok and match
     report = {"suite": "equivalence", "max_n": args.max_n,
@@ -337,6 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact values may run past the interpreter's int/str digit limit, so lift
+    # it for this call only; importing the library leaves it alone.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -349,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -19,12 +19,22 @@ takes the three products P^2, Q^2 and PQ as big-integer multiplies, forms
 and unpacks the result.  The grid becomes an (a, b, c, x) polynomial once,
 after the last step.  The recurrence never consults the closed form.
 
-Relative primality of the pair is certified two ways: an exact Sylvester
-resultant (nonzero as a polynomial) for small n, and randomized integer
-specializations of (a, b, c) followed by a univariate GCD over the rationals
-for all n.  A single specialization witness with GCD degree 0 already proves
-the symbolic pair coprime; the resultant route is an independent exact
-certificate kept where the matrices stay small.
+Relative primality of the pair is certified two ways, each in a named ring:
+
+* the Sylvester resultant Res_x(P_n, Q_n), exact over Z[a,b,c] and nonzero
+  as a polynomial, for n <= EXACT_RESULTANT_MAX_N = 3;
+* for every n, seeded integer specializations of (a, b, c), each followed by
+  Euclid on the two polynomials in x over GF(p), p = GCD_PRIME = 2^61 - 1.
+
+A specialization witness whose gcd over GF(p) has degree 0 proves the
+symbolic pair coprime over Q.  The leading x-coefficients are a^(2^n - 1)
+and 2^n a^(2^n - 1) with 0 < |a| <= 50, which the odd prime p does not
+divide, so reduction mod p keeps both degrees and can only raise the degree
+of the gcd: a false pass is impossible, and the worst case is a false "fail".
+The degenerate probes all have b^2 - 4ac = 0, where
+P_n/Q_n = r + (x - r)/2^n; their gcd is all of Q_n in every field where the
+leading coefficient of Q_n is nonzero, GF(p) included, so the recorded
+probe degrees are those over Q.
 """
 
 from __future__ import annotations
@@ -32,13 +42,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, StructuralError, check_index
 from .polyring import ABCX, MultiPoly, VariableSet, divexact
 
 DEFAULT_CAP = 8
 EXACT_RESULTANT_MAX_N = 3
+GCD_PRIME = (1 << 61) - 1       # Mersenne prime; the specialized gcd runs over GF(GCD_PRIME)
 
 # Degenerate discriminant triples probed (never asserted) by coprimality_check.
 DEGENERATE_PROBES = ((1, 2, 1), (1, -2, 1), (4, 4, 1), (9, 6, 1), (1, 0, 0))
@@ -103,14 +113,6 @@ class NewtonPair:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p.to_dict(), "q": self.q.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NewtonPair":
-        try:
-            return cls(int(data["n"]), MultiPoly.from_dict(data["p"]),
-                       MultiPoly.from_dict(data["q"]))
-        except (KeyError, TypeError) as exc:
-            raise StructuralError(f"malformed pair JSON: {exc}") from exc
 
 
 def newton_step(coeffs: QuadraticCoeffs, z: Fraction | int) -> Fraction:
@@ -283,37 +285,42 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str = "x") -> MultiPoly
 
 # ---------------------------------------------------------------- specialization GCD
 
-def _dense_univariate(poly: MultiPoly) -> list[Fraction]:
-    """Ascending coefficient list of a polynomial over the single variable x."""
-    if len(poly.varset) != 1:
-        raise StructuralError(f"expected a univariate polynomial, got {poly.varset.names}")
-    out = [Fraction(0)] * (poly.total_degree + 1)
-    for mono, coeff in poly.sorted_terms():
-        out[mono[0]] = Fraction(coeff)
-    return out
+def _euclid_degree(u: list[int], v: list[int]) -> int:
+    """Degree of gcd(u, v) over GF(GCD_PRIME) of ascending residue lists.
 
-
-def _strip(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _gcd_degree(u: list[Fraction], v: list[Fraction]) -> int:
-    """Degree of gcd over Q of two dense univariate polynomials (Euclid)."""
-    u, v = _strip(list(u)), _strip(list(v))
+    Both leading residues must be nonzero; each remainder is trimmed as it is formed.
+    """
     while v:
-        # u mod v by long division
-        while len(u) >= len(v):
-            factor = u[-1] / v[-1]
+        inverse = pow(v[-1], -1, GCD_PRIME)
+        while len(u) >= len(v):         # u <- u mod v, one leading term at a time
+            factor = u[-1] * inverse % GCD_PRIME
             shift = len(u) - len(v)
-            for i, coefficient in enumerate(v):
-                u[i + shift] -= factor * coefficient
-            _strip(u)
-            if not u:
-                break
+            u[shift:] = [(x - factor * y) % GCD_PRIME for x, y in zip(u[shift:], v)]
+            while u and not u[-1]:
+                u.pop()
         u, v = v, u
-    return len(u) - 1 if u else -1
+    return len(u) - 1
+
+
+def _specialized_gcd_degree(pair: NewtonPair, a: int, b: int, c: int) -> int:
+    """deg gcd(P_n, Q_n) at (a, b, c) over GF(GCD_PRIME), for a not divisible by it.
+
+    Each x-coefficient is read off the pair's terms through power tables of
+    a, b and c modulo the prime.  GCD_PRIME divides neither leading
+    x-coefficient, a^(2^n - 1) and 2^n a^(2^n - 1), so both reductions keep
+    their degree and the result is at least the degree over Q: 0 proves the
+    pair coprime over Q, and an unlucky prime could only turn a pass into a fail.
+    """
+    size = 2 ** pair.n                  # every exponent of a, b and c is below 2^n
+    powers_a, powers_b, powers_c = ([pow(value, e, GCD_PRIME) for e in range(size)]
+                                    for value in (a, b, c))
+    residues = []
+    for poly, degree in ((pair.p, size), (pair.q, size - 1)):
+        out = [0] * (degree + 1)
+        for (i, j, k, e), coeff in poly._terms.items():
+            out[e] += coeff * powers_a[i] * powers_b[j] * powers_c[k]
+        residues.append([v % GCD_PRIME for v in out])
+    return _euclid_degree(*residues)
 
 
 @dataclass(frozen=True)
@@ -357,14 +364,6 @@ class CoprimalityReport:
             "resultant_nonzero": self.resultant_nonzero,
             "degenerate_probes": [w.to_dict() for w in self.degenerate_probes],
         }
-
-
-def _specialized_gcd_degree(pair: NewtonPair, a: int, b: int, c: int) -> int:
-    bindings = {"a": a, "b": b, "c": c}
-    return _gcd_degree(
-        _dense_univariate(pair.p.substitute(bindings)),
-        _dense_univariate(pair.q.substitute(bindings)),
-    )
 
 
 def coprimality_check(pair: NewtonPair, trials: int = 10, seed: int = 42) -> CoprimalityReport:

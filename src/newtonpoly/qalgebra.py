@@ -122,24 +122,22 @@ def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]
     return p, q
 
 
-def _outer(size: int, k: int) -> MultiPoly:
-    # The q-deformed outer binomial, lifted once per k rather than once per term.
-    return qbinomial(size, k).lift_to(ABCQXY)
-
-
 def _nc_sum(n: int, contributions) -> MultiPoly:
-    # Each closed-form term of x^k becomes the word x^k y^(2^n - k).
+    # Each closed-form term of x^k becomes the word x^k y^(2^n - k); its
+    # coefficient, over (a, b, c, q), is accumulated into one term dictionary.
     size = 2 ** n
-    total = MultiPoly.zero(ABCQXY)
+    terms: dict[tuple[int, ...], int] = {}
     for k, _j, coeff, (a, b, c, _x) in contributions:
-        total = total + coeff * MultiPoly.term(ABCQXY, 1, a=a, b=b, c=c, x=k, y=size - k)
-    return total
+        for (ca, cb, cc, q), value in coeff.sorted_terms():
+            word = (a + ca, b + cb, c + cc, q, k, size - k)
+            terms[word] = terms.get(word, 0) + value
+    return MultiPoly(ABCQXY, terms)
 
 
 def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
     """The conjectured closed forms: q-deform the outer binomial, append y^(2^n - k)."""
     check_index(n, cap)
-    return _nc_sum(n, p_contributions(n, _outer)), _nc_sum(n, q_contributions(n, _outer))
+    return _nc_sum(n, p_contributions(n, qbinomial)), _nc_sum(n, q_contributions(n, qbinomial))
 
 
 @dataclass(frozen=True)

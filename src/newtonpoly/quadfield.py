@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, StructuralError, check_index
 from .newton import DEFAULT_CAP, QuadraticCoeffs, iterate_value
@@ -65,11 +65,6 @@ class QuadExt:
     @property
     def is_rational(self) -> bool:
         return self.v == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.v != 0:
-            raise DomainError(f"{self} has a nonzero radical part")
-        return self.u
 
     def norm(self) -> Fraction:
         """u^2 - v^2 d, the product with the conjugate."""
@@ -171,13 +166,6 @@ class QuadExt:
 
     def to_dict(self) -> dict:
         return {"u": str(self.u), "v": str(self.v), "d": self.d}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "QuadExt":
-        try:
-            return cls(Fraction(data["u"]), Fraction(data["v"]), int(data["d"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructuralError(f"malformed QuadExt JSON: {exc}") from exc
 
     def __str__(self) -> str:
         if self.v == 0:

@@ -1,10 +1,18 @@
+import contextlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from newtonpoly import cli, closedform
+from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import MultiPoly
+
+# 1, 300 zeros, 1, over 7: from the 4th Newton iterate on, numerator and
+# denominator run past Python's default 4300-digit int/str limit.
+HUGE_SAMPLE = "1" + "0" * 300 + "1/7"
 
 
 def run_cli(*args, **kwargs):
@@ -221,7 +229,57 @@ class TestVerify:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    def test_equivalence_builds_one_closed_pair_per_n(self, monkeypatch, capsys):
+        calls = []
+        for name in ("closed_p", "closed_q"):
+            original = getattr(closedform, name)
+            monkeypatch.setattr(closedform, name,
+                                lambda n, _f=original, _name=name, **kw:
+                                calls.append((_name, n, kw.get("cap"))) or _f(n, **kw))
+        assert cli.main(["verify", "equivalence", "--cap", "6"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert sorted(calls) == sorted((name, n, 6) for name in ("closed_p", "closed_q")
+                                       for n in range(6))
+
     def test_rootform_range_may_be_empty(self):
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")
         assert result.returncode == 0
         assert json.loads(result.stdout)["rootform"] == []
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestDigitLimit:
+    def test_eval_prints_past_the_limit(self):
+        result = run_cli("eval", "--n", "4", "--a", "1", "--b", "0", "--c=-1",
+                         "--x", HUGE_SAMPLE)
+        assert result.returncode == 0, result.stderr
+        with unlimited_digits():
+            stepwise = iterate_value(QuadraticCoeffs(1, 0, -1), Fraction(HUGE_SAMPLE), 4)
+            assert result.stdout == f"{stepwise}\n"
+
+    def test_conjugacy_reports_past_the_limit(self):
+        result = run_cli("verify", "conjugacy", "--max-n", "4", "--samples", HUGE_SAMPLE,
+                         "--min-checked", "1")
+        assert result.returncode == 0, result.stderr
+        with unlimited_digits():
+            for entry in json.loads(result.stdout)["results"]:
+                report = entry["report"]
+                coeffs = QuadraticCoeffs(*(report["coeffs"][k] for k in "abc"))
+                stepwise = iterate_value(coeffs, Fraction(HUGE_SAMPLE), report["n"])
+                assert [t["newton_value"] for t in report["traces"]] == [str(stepwise)]
+
+    def test_main_restores_the_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        assert cli.main(["eval", "--n", "4", "--a", "1", "--b", "0", "--c=-1",
+                         "--x", HUGE_SAMPLE]) == 0
+        assert sys.get_int_max_str_digits() == before
+        assert len(capsys.readouterr().out) > 4300

@@ -32,6 +32,32 @@ def schoolbook_pair(n):
     return p, q
 
 
+def rational_gcd_degree(pair, a, b, c):
+    """deg gcd(P_n, Q_n) at (a, b, c) over Q: Euclid on Fraction coefficient lists."""
+    def dense(poly):
+        out = [Fraction(0)] * (poly.total_degree + 1)
+        for (e,), coeff in poly.sorted_terms():
+            out[e] = Fraction(coeff)
+        return strip(out)
+
+    def strip(coeffs):
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs
+
+    bindings = {"a": a, "b": b, "c": c}
+    u, v = dense(pair.p.substitute(bindings)), dense(pair.q.substitute(bindings))
+    while v:
+        while len(u) >= len(v):         # u <- u mod v by long division
+            factor = u[-1] / v[-1]
+            shift = len(u) - len(v)
+            for i, coefficient in enumerate(v):
+                u[i + shift] -= factor * coefficient
+            strip(u)
+        u, v = v, u
+    return len(u) - 1 if u else -1
+
+
 class TestQuadraticCoeffs:
     def test_coerces_to_fractions(self):
         coeffs = QuadraticCoeffs(1, -3, 2)
@@ -133,10 +159,6 @@ class TestIteratePair:
         polys[poly] = polys[poly] + MultiPoly.term(ABCX, 1, **extra)
         with pytest.raises(StructuralError, match="leading x-coefficient"):
             NewtonPair(1, polys["p"], polys["q"])
-
-    def test_json_round_trip(self):
-        pair = iterate_pair(2)
-        assert NewtonPair.from_dict(pair.to_dict()) == pair
 
 
 class TestEvalPair:
@@ -244,6 +266,21 @@ class TestCoprimality:
         first = coprimality_check(iterate_pair(2), trials=8, seed=42)
         second = coprimality_check(iterate_pair(2), trials=8, seed=42)
         assert first.to_dict() == second.to_dict()
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_modular_gcd_matches_rational_euclid(self, n):
+        # Every seed-42 witness and every degenerate probe: the GF(2^61 - 1)
+        # degree the report prints equals the degree over Q.
+        pair = iterate_pair(n)
+        report = coprimality_check(pair, trials=10, seed=42)
+        for w in report.witnesses + report.degenerate_probes:
+            assert w.gcd_degree == rational_gcd_degree(pair, w.a, w.b, w.c), (w.a, w.b, w.c)
+
+    def test_modular_gcd_matches_rational_euclid_on_probes_at_n8(self):
+        pair = NewtonPair(8, closed_p(8), closed_q(8))
+        report = coprimality_check(pair, trials=1, seed=42)
+        for w in report.degenerate_probes:
+            assert w.gcd_degree == rational_gcd_degree(pair, w.a, w.b, w.c), (w.a, w.b, w.c)
 
     def test_requires_a_trial(self):
         with pytest.raises(ValueError):
