@@ -47,9 +47,16 @@ def _build_pair(n: int, method: str, cap: int) -> NewtonPair:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    given = [f"--{name}" for name in "abc" if getattr(args, name) is not None]
+    if args.method == "rootform" and len(given) < 3:
+        raise StructuralError("--method rootform requires --a, --b and --c")
+    if args.method != "rootform" and given:
+        raise StructuralError(f"{', '.join(given)}: only meaningful with --method rootform; "
+                              f"--method {args.method} builds the symbolic pair")
+    if args.audit is not None and args.method != "closed":
+        raise StructuralError("--audit is only meaningful with --method closed")
+
     if args.method == "rootform":
-        if args.a is None or args.b is None or args.c is None:
-            raise StructuralError("--method rootform requires --a, --b and --c")
         coeffs = QuadraticCoeffs(args.a, args.b, args.c)
         p, q = quadfield.root_form_pair(coeffs, args.n, cap=args.cap)
         payload = {
@@ -64,8 +71,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         payload = pair.to_dict()
 
     if args.audit is not None:
-        if args.method != "closed":
-            raise StructuralError("--audit is only meaningful with --method closed")
         lines = [json.dumps(r.to_dict()) for r in closedform.closed_audit(args.n, cap=args.cap)]
         Path(args.audit).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -104,10 +109,11 @@ def _suite_equivalence(args) -> tuple[bool, dict]:
         per_n.append({"n": n, "recurrence_equals_closed": match})
         ok = ok and match
     rootform_results = []
+    rootform_max_n = min(args.max_n, args.rootform_max_n)   # the bound actually checked
     for a, b, c in REFERENCE_TRIPLES:
         coeffs = QuadraticCoeffs(a, b, c)
         bindings = {"a": a, "b": b, "c": c}
-        for n in range(min(args.max_n, args.rootform_max_n) + 1):
+        for n in range(rootform_max_n + 1):
             try:
                 rf_p, rf_q = quadfield.root_form_pair(coeffs, n, cap=args.cap)
             except DomainError:      # a coefficient kept a radical or fractional part
@@ -119,7 +125,7 @@ def _suite_equivalence(args) -> tuple[bool, dict]:
             rootform_results.append({"coeffs": [a, b, c], "n": n, "match": match})
             ok = ok and match
     report = {"suite": "equivalence", "max_n": args.max_n,
-              "rootform_max_n": args.rootform_max_n, "per_n": per_n,
+              "rootform_max_n": rootform_max_n, "per_n": per_n,
               "rootform": rootform_results, "passed": ok}
     return ok, report
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(sqrt(d)): roots, the Mobius conjugacy, and the root form.
+"""Exact roots and Mobius conjugacy in Q(sqrt(d)); the root form over Z[sqrt(d)].
 
 The Newton map of a quadratic with distinct roots r1, r2 is conjugate to plain
 squaring via the fractional linear map sending the roots to 0 and infinity:
@@ -10,8 +10,18 @@ u + v sqrt(d) with rational u, v.  A perfect-square radicand is folded into
 the rational part immediately (principal root), so rational values always
 have v = 0 and compare canonically.  Negative d is allowed (complex roots).
 
-This module supplies the third, independent construction of (P_n, Q_n): the
-symmetric root-form expressions, whose sqrt(d)-components cancel exactly.
+This module also supplies the third, independent construction of (P_n, Q_n):
+the symmetric root-form expressions in r1, r2 = (-b +/- s)/(2a), s = sqrt(d).
+With N = 2^n, A = (2a x + b + s)^N and B = (2a x + b - s)^N, the powers of a
+cancel and
+
+    Q_n = (A - B) / (2^N s)        P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s)
+
+A and B are expanded separately, in integers over Z[s]: pairs (u, v) standing
+for u + v s, or plain ints when d is a perfect square and s = isqrt(d).  The
+radical parts cancel exactly; the check that they do sits at the division by
+s, where each numerator's u part must be 0, and one exact divmod by the
+integer denominator follows.  Either failure raises DomainError.
 """
 
 from __future__ import annotations
@@ -26,10 +36,19 @@ from .newton import DEFAULT_CAP, QuadraticCoeffs, iterate_value
 from .polyring import X_ONLY, MultiPoly
 
 
-def _fold_square(u: Fraction, v: Fraction, d: int) -> tuple[Fraction, Fraction]:
-    if v and d >= 0:
+def _square_root(d: int) -> int | None:
+    """The integer square root of d when d is a perfect square, else None."""
+    if d >= 0:
         root = math.isqrt(d)
         if root * root == d:
+            return root
+    return None
+
+
+def _fold_square(u: Fraction, v: Fraction, d: int) -> tuple[Fraction, Fraction]:
+    if v:
+        root = _square_root(d)
+        if root is not None:
             return u + v * root, Fraction(0)
     return u, v
 
@@ -176,12 +195,17 @@ class QuadExt:
         return f"QuadExt({self.u!r}, {self.v!r}, {self.d})"
 
 
-def roots(coeffs: QuadraticCoeffs) -> tuple[QuadExt, QuadExt]:
-    """The two distinct roots (-b +/- sqrt(d))/(2a) as exact QuadExt values."""
+def _integer_radicand(coeffs: QuadraticCoeffs) -> int:
+    """d = b^2 - 4ac, for integer coefficients with two distinct roots."""
     if not coeffs.is_integral():
         raise StructuralError("root construction requires integer coefficients")
     coeffs.require_distinct_roots()
-    d = int(coeffs.discriminant)
+    return int(coeffs.discriminant)
+
+
+def roots(coeffs: QuadraticCoeffs) -> tuple[QuadExt, QuadExt]:
+    """The two distinct roots (-b +/- sqrt(d))/(2a) as exact QuadExt values."""
+    d = _integer_radicand(coeffs)
     half = Fraction(1, 2) / coeffs.a
     center = -coeffs.b * half
     return QuadExt(center, half, d), QuadExt(center, -half, d)
@@ -296,53 +320,92 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
 
 # ---------------------------------------------------------------- root form
 
-def _binomial_power(root: QuadExt, n: int, d: int) -> list[QuadExt]:
-    """Ascending coefficients of (x - root)^n, by the binomial theorem."""
-    minus = -root
-    coeffs: list[QuadExt] = []
-    power_of_root = QuadExt(1, 0, d)
-    for k in range(n, -1, -1):
-        coeffs.append(power_of_root * math.comb(n, k))
-        if k:
-            power_of_root = power_of_root * minus
+def _expand(two_a: int, b: int, sign: int, d: int, size: int) -> list:
+    """Ascending coefficients of (2a x + b + sign sqrt(d))^size.
+
+    The coefficient of x^k is C(size, k) (2a)^k (b + sign sqrt(d))^(size - k).
+    When d is a perfect square each one is a plain int; otherwise it is a
+    pair (u, v) standing for u + v sqrt(d), and the powers of b + sign sqrt(d)
+    come from (u, v)(b, sign) = (b u + sign d v, sign u + b v).
+    """
+    scales = [1]                    # C(size, k) (2a)^k; each division below is exact
+    for k in range(1, size + 1):
+        scales.append(scales[-1] * (size - k + 1) * two_a // k)
+    root = _square_root(d)
+    coeffs: list = []
+    if root is not None:
+        base = b + sign * root
+        power = 1
+        for scale in reversed(scales):
+            coeffs.append(scale * power)
+            power *= base
+    else:
+        u, v = 1, 0
+        for scale in reversed(scales):
+            coeffs.append((scale * u, scale * v))
+            u, v = b * u + sign * d * v, sign * u + b * v
     coeffs.reverse()
     return coeffs
 
 
-def _integer_poly(values: Sequence[QuadExt], name: str) -> MultiPoly:
-    """The polynomial over {x} with ascending coefficients ``values``.
+def _integer_poly(numerators: Sequence, denominator: int, d: int,
+                  name: str) -> MultiPoly:
+    """The polynomial over {x} whose x^k coefficient is numerators[k] / denominator.
 
-    Each value must have cancelled to an integer; anything else means the
-    root form did not reproduce an integer polynomial, and is reported.
+    A pair (u, v) numerator stands for (u + v sqrt(d)) / sqrt(d) = v + (u/d) sqrt(d):
+    its u must be 0, or the coefficient keeps a radical part.  Every quotient
+    must then be exact.  Either failure means the root form did not reproduce
+    an integer polynomial, and is reported.
     """
     terms = {}
-    for power, value in enumerate(values):
-        if not value.is_rational:
-            raise DomainError(f"{name}: coefficient {value} of x^{power} keeps a radical part")
-        if value.u.denominator != 1:
-            raise DomainError(f"{name}: coefficient {value.u} of x^{power} is not an integer")
-        terms[(power,)] = value.u.numerator
-    return MultiPoly(X_ONLY, terms)
+    for power, numerator in enumerate(numerators):
+        if isinstance(numerator, tuple):
+            u, numerator = numerator
+            if u:
+                value = QuadExt(Fraction(numerator, denominator),
+                                Fraction(u, d * denominator), d)
+                raise DomainError(f"{name}: coefficient {value} of x^{power} keeps a radical part")
+        quotient, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise DomainError(f"{name}: coefficient {Fraction(numerator, denominator)} "
+                              f"of x^{power} is not an integer")
+        if quotient:
+            terms[(power,)] = quotient
+    return MultiPoly._raw(X_ONLY, terms)
 
 
 def root_form_pair(coeffs: QuadraticCoeffs, n: int,
                    cap: int = DEFAULT_CAP) -> tuple[MultiPoly, MultiPoly]:
     """The symmetric root-form pair, as integer polynomials over {x}:
 
-        P_n = a^(2^n - 1) (r1 (x - r2)^(2^n) - r2 (x - r1)^(2^n)) / (r1 - r2)
-        Q_n = a^(2^n - 1) ((x - r2)^(2^n) - (x - r1)^(2^n)) / (r1 - r2)
+        P_n = a^(N - 1) (r1 (x - r2)^N - r2 (x - r1)^N) / (r1 - r2)
+        Q_n = a^(N - 1) ((x - r2)^N - (x - r1)^N) / (r1 - r2)
 
-    The sums are formed in Q(sqrt(d)); their radical parts must cancel and
-    their rational parts be integers, else DomainError names the coefficient.
+    with N = 2^n.  Writing s = sqrt(d), A = (2a x + b + s)^N and
+    B = (2a x + b - s)^N, the powers of a cancel and
+
+        Q_n = (A - B) / (2^N s)
+        P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s)
+
+    A and B are expanded separately in Z[s].  Dividing a numerator by s
+    must leave no radical part, and dividing by the integer denominator must
+    be exact, else DomainError names the coefficient.
     """
     check_index(n, cap)
-    r1, r2 = roots(coeffs)
-    d = r1.d
+    d = _integer_radicand(coeffs)
+    a, b = int(coeffs.a), int(coeffs.b)
     size = 2 ** n
-    around_r2 = _binomial_power(r2, size, d)
-    around_r1 = _binomial_power(r1, size, d)
-    lead = QuadExt.lift(coeffs.a ** (size - 1), d)
-    scalar = lead / (r1 - r2)
-    p = [(u * r1 - v * r2) * scalar for u, v in zip(around_r2, around_r1)]
-    q = [(u - v) * scalar for u, v in zip(around_r2, around_r1)]
-    return _integer_poly(p, "P"), _integer_poly(q, "Q")
+    plus = _expand(2 * a, b, 1, d, size)
+    minus = _expand(2 * a, b, -1, d, size)
+    root = _square_root(d)
+    if root is not None:            # s = root: every value is a plain int
+        p = [(root - b) * u + (root + b) * w for u, w in zip(plus, minus)]
+        q = [u - w for u, w in zip(plus, minus)]
+        scale = root
+    else:                           # (u, v) and (w, y) stand for u + v s and w + y s
+        p = [(d * (v + y) - b * (u - w), u + w - b * (v - y))
+             for (u, v), (w, y) in zip(plus, minus)]
+        q = [(u - w, v - y) for (u, v), (w, y) in zip(plus, minus)]
+        scale = 1
+    return (_integer_poly(p, 2 ** (size + 1) * a * scale, d, "P"),
+            _integer_poly(q, 2 ** size * scale, d, "Q"))

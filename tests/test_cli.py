@@ -97,6 +97,30 @@ class TestGenerate:
         result = run_cli("generate", "--n", "2", "--audit", str(tmp_path / "a.jsonl"))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("method", ["recurrence", "rootform"])
+    def test_audit_refused_before_any_construction(self, monkeypatch, capsys, tmp_path,
+                                                   method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair was built before the usage error")
+        monkeypatch.setattr(cli.newton, "iterate_pair", refuse)
+        monkeypatch.setattr(cli.quadfield, "root_form_pair", refuse)
+        target = tmp_path / "a.jsonl"
+        argv = ["generate", "--n", "8", "--method", method, "--audit", str(target)]
+        if method == "rootform":
+            argv += ["--a", "2", "--b", "1", "--c=-3"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: --audit")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("method", ["recurrence", "closed"])
+    @pytest.mark.parametrize("given", [["--a", "5", "--b", "7", "--c", "9"], ["--c", "9"]])
+    def test_coefficients_refused_without_rootform(self, method, given):
+        result = run_cli("generate", "--n", "1", "--method", method, *given)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error:")
+        assert "only meaningful with --method rootform" in result.stderr
+        assert result.stdout == ""
+
 
 class TestEval:
     def test_worked_sample(self):
@@ -245,6 +269,16 @@ class TestVerify:
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")
         assert result.returncode == 0
         assert json.loads(result.stdout)["rootform"] == []
+
+    @pytest.mark.parametrize("max_n, rootform_max_n, checked", [(1, 4, 1), (3, 2, 2)])
+    def test_equivalence_reports_the_rootform_bound_it_checked(self, max_n, rootform_max_n,
+                                                               checked):
+        result = run_cli("verify", "equivalence", "--max-n", str(max_n),
+                         "--rootform-max-n", str(rootform_max_n))
+        assert result.returncode == 0
+        report = json.loads(result.stdout)
+        assert report["rootform_max_n"] == checked
+        assert {entry["n"] for entry in report["rootform"]} == set(range(checked + 1))
 
 
 @contextlib.contextmanager

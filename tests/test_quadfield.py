@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from newtonpoly.cli import REFERENCE_TRIPLES
 from newtonpoly.closedform import closed_p, closed_q
 from newtonpoly.errors import DomainError, ResourceCapError, StructuralError
 from newtonpoly import quadfield
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
-from newtonpoly.polyring import X_ONLY
+from newtonpoly.polyring import X_ONLY, MultiPoly
 from newtonpoly.quadfield import (
     QuadExt,
     conjugacy_check,
@@ -21,6 +23,59 @@ FIVE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
 # discriminants: 4, 1, 25, -4, 16 — add non-square ones so the radical
 # arithmetic is actually exercised
 IRRATIONAL_TRIPLES = ((1, 1, -1), (1, 0, 2), (2, -3, -4))
+
+
+def quadext_binomial_power(root, n, d):
+    """Ascending coefficients of (x - root)^n in Q(sqrt(d)), by the binomial theorem."""
+    minus = -root
+    coeffs = []
+    power_of_root = QuadExt(1, 0, d)
+    for k in range(n, -1, -1):
+        coeffs.append(power_of_root * math.comb(n, k))
+        if k:
+            power_of_root = power_of_root * minus
+    coeffs.reverse()
+    return coeffs
+
+
+def quadext_root_form_pair(coeffs, n):
+    """The root form summed in Q(sqrt(d)) with rational QuadExt parts, the slow route.
+
+    Returns None when a coefficient keeps a radical or fractional part.
+    """
+    r1, r2 = roots(coeffs)
+    d = r1.d
+    size = 2 ** n
+    around_r2 = quadext_binomial_power(r2, size, d)
+    around_r1 = quadext_binomial_power(r1, size, d)
+    scalar = QuadExt.lift(coeffs.a ** (size - 1), d) / (r1 - r2)
+    p = [(u * r1 - v * r2) * scalar for u, v in zip(around_r2, around_r1)]
+    q = [(u - v) * scalar for u, v in zip(around_r2, around_r1)]
+    pair = []
+    for values in (p, q):
+        if any(not value.is_rational or value.u.denominator != 1 for value in values):
+            return None
+        pair.append(MultiPoly(X_ONLY, {(k,): int(value.u) for k, value in enumerate(values)}))
+    return tuple(pair)
+
+
+def differential_triples():
+    """Hand-picked triples, then 40 seeded ones with a != 0 and b^2 - 4ac != 0."""
+    # REFERENCE_TRIPLES holds (1, -3, 2) with d = 1 and (1, 0, 1) with d = -4.
+    hand_picked = list(REFERENCE_TRIPLES) + [
+        (4, 4, -3),                      # perfect-square d = 64
+        (2, 1, 3),                       # d = -23
+        (-1, 1, 1), (-3, 2, 5),          # a < 0: d = 5, 64
+        (1, 1, -1), (5, -7, 1),          # non-square d > 0: 5, 29
+    ]
+    seeded = []
+    rng = random.Random(61)
+    while len(seeded) < 40:
+        a = rng.choice([i for i in range(-6, 7) if i])
+        b, c = rng.randint(-9, 9), rng.randint(-9, 9)
+        if b * b != 4 * a * c:
+            seeded.append((a, b, c))
+    return hand_picked + seeded
 
 
 class TestQuadExt:
@@ -235,21 +290,48 @@ class TestRootForm:
         with pytest.raises(DomainError):
             root_form_pair(QuadraticCoeffs(1, 2, 1), 1)
 
+    @pytest.mark.parametrize("triple", differential_triples())
+    def test_matches_quadext_route_up_to_n7(self, triple):
+        coeffs = QuadraticCoeffs(*triple)
+        for n in range(8):
+            assert root_form_pair(coeffs, n) == quadext_root_form_pair(coeffs, n)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_matches_closed_forms_above_the_default_cap(self, n):
+        # The symbolic closed pair at n = 10 takes seconds to build: once per n.
+        closed = closed_p(n, cap=10), closed_q(n, cap=10)
+        for a, b, c in ((2, 1, -3), (-3, 5, 1)):
+            bindings = {"a": a, "b": b, "c": c}
+            pair = root_form_pair(QuadraticCoeffs(a, b, c), n, cap=10)
+            assert pair == tuple(poly.substitute(bindings) for poly in closed)
+
+    def test_cap(self):
+        with pytest.raises(ResourceCapError):
+            root_form_pair(QuadraticCoeffs(1, 0, -1), 9)
+        with pytest.raises(ResourceCapError):
+            root_form_pair(QuadraticCoeffs(1, 0, -1), 3, cap=2)
+
+    def test_non_integer_coefficients_rejected(self):
+        with pytest.raises(StructuralError):
+            root_form_pair(QuadraticCoeffs(Fraction(1, 2), 0, -1), 1)
+
     @pytest.mark.parametrize("extra, message", [
-        (QuadExt(0, 1, 5), "keeps a radical part"),
-        (QuadExt(Fraction(1, 2), 0, 5), "is not an integer"),
+        ((0, 1), "keeps a radical part"),
+        ((1, 0), "is not an integer"),
     ], ids=["radical", "fraction"])
     def test_coefficient_guard(self, monkeypatch, extra, message):
-        # Shift the constant term of both expansions: P's constant coefficient
-        # gains extra * a^(2^n - 1), which the guard must refuse to round away.
-        expand = quadfield._binomial_power
+        # Shift the constant term of both expansions A and B by e = u + v sqrt(5):
+        # P's numerator gains 2 sqrt(5) e, so its constant coefficient gains
+        # e / (2^N a), which the guard must refuse to round away.
+        expand = quadfield._expand
 
-        def shifted(root, n, d):
-            coeffs = expand(root, n, d)
-            coeffs[0] = coeffs[0] + extra
+        def shifted(two_a, b, sign, d, size):
+            coeffs = expand(two_a, b, sign, d, size)
+            u, v = coeffs[0]
+            coeffs[0] = (u + extra[0], v + extra[1])
             return coeffs
 
-        monkeypatch.setattr(quadfield, "_binomial_power", shifted)
+        monkeypatch.setattr(quadfield, "_expand", shifted)
         with pytest.raises(DomainError, match=f"P: coefficient .* of x\\^0 {message}"):
             root_form_pair(QuadraticCoeffs(1, 1, -1), 2)
 
