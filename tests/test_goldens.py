@@ -78,6 +78,20 @@ VERIFY = {
         "add643956d20f2adb6a1ae3de6cb19880af25cf37d0b720b8208df738659347c",
 }
 
+# generate --method rootform --n 8 on triples outside REFERENCE_TRIPLES: d = 64,
+# d = 36 with c = 0, and the positive non-square d = 5.
+ROOTFORM_N8 = {
+    (4, 4, -3): "914fdb3d75eda4b88999a1086fff249432543580132a624061d86c7454927ac4",
+    (2, -6, 0): "be0baac9f9a2eb5e5e80e2bfd904d21190a0aea957b71f891ce0c17b1cd18521",
+    (1, 1, -1): "874baa0e97f9dfc5447913d90c2fc46fc109e4caf0e6ba8e3322878e3745aa9d",
+}
+
+# verify qbinom past its default ranges.
+QBINOM_WIDE = (
+    ("qbinom", "--max-n", "8", "--product-max-n", "16", "--symmetry-max-n", "32"),
+    "34ea14adb0bd5fd7ec865b38388b91b7960847b89414a9f18d6bd597991ce3ab",
+)
+
 # canonical_json of (P'_n, Q'_n).to_dict() from nc_iterate(n), n = 0..4.
 NC_ITERATE = (
     ("19991e109b259f49b8b8dc1ee8c3e405cad4f61b58730ca5513893b3974fb225",
@@ -115,6 +129,19 @@ def test_generate_rootform(capsys, triple, n):
     digest = stdout_sha256(capsys, "generate", "--method", "rootform", "--n", str(n),
                            f"--a={a}", f"--b={b}", f"--c={c}")
     assert digest == ROOTFORM[triple][n]
+
+
+@pytest.mark.parametrize("triple", sorted(ROOTFORM_N8))
+def test_generate_rootform_n8(capsys, triple):
+    a, b, c = triple
+    digest = stdout_sha256(capsys, "generate", "--method", "rootform", "--n", "8",
+                           f"--a={a}", f"--b={b}", f"--c={c}")
+    assert digest == ROOTFORM_N8[triple]
+
+
+def test_verify_qbinom_wide(capsys):
+    argv, digest = QBINOM_WIDE
+    assert stdout_sha256(capsys, "verify", *argv) == digest
 
 
 @pytest.mark.parametrize("argv", sorted(VERIFY), ids=" ".join)
