@@ -40,6 +40,7 @@ from .qalgebra import (
     nc_iterate,
     qbinomial,
     qbinomial_product_value,
+    qbinomial_rows,
     qbinomial_theorem_check,
 )
 from .quadfield import (

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import closedform, newton, qalgebra, quadfield, smoothness
@@ -33,9 +34,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StructuralError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -72,7 +80,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     if args.audit is not None:
         lines = [json.dumps(r.to_dict()) for r in closedform.closed_audit(args.n, cap=args.cap)]
-        Path(args.audit).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(args.audit, "\n".join(lines) + "\n")
 
     if args.format == "json":
         _emit(canonical_json(payload), args.out)
@@ -198,11 +206,12 @@ def _suite_qconjecture(args) -> tuple[bool, dict]:
 
 def _suite_qbinom(args) -> tuple[bool, dict]:
     theorem = qalgebra.qbinomial_theorem_check(args.max_n)
+    rows = list(islice(qalgebra.qbinomial_rows(),
+                       max(args.product_max_n, args.symmetry_max_n) + 1))
     product_ok = True
     first_product_failure = None
-    for n in range(args.product_max_n + 1):
-        for k in range(n + 1):
-            polynomial = qalgebra.qbinomial(n, k)
+    for n, row in enumerate(rows[:args.product_max_n + 1]):
+        for k, polynomial in enumerate(row):
             for q_value in (2, 3, 5):
                 expected = qalgebra.qbinomial_product_value(n, k, q_value)
                 if polynomial.evaluate({"q": q_value}) != expected:
@@ -210,10 +219,9 @@ def _suite_qbinom(args) -> tuple[bool, dict]:
                     first_product_failure = first_product_failure or [n, k, q_value]
     symmetry_ok = True
     specialization_ok = True
-    for n in range(args.symmetry_max_n + 1):
-        for k in range(n + 1):
-            polynomial = qalgebra.qbinomial(n, k)
-            if polynomial != qalgebra.qbinomial(n, n - k):
+    for n, row in enumerate(rows[:args.symmetry_max_n + 1]):
+        for k, polynomial in enumerate(row):
+            if polynomial != row[n - k]:
                 symmetry_ok = False
             if polynomial.evaluate({"q": 1}) != closedform.binomial(n, k):
                 specialization_ok = False

@@ -80,6 +80,11 @@ X_ONLY = VariableSet("x")
 ABCQXY = VariableSet("abcqxy")
 
 
+def _power_table(num: int, den: int, top: int) -> list[int]:
+    """num^e den^(top - e) for e = 0..top: the powers of num/den over den^top."""
+    return [num ** e * den ** (top - e) for e in range(top + 1)]
+
+
 def _grlex_key(monomial: Monomial) -> tuple[int, Monomial]:
     return (sum(monomial), monomial)
 
@@ -290,7 +295,7 @@ class MultiPoly:
             if point[i] is None:
                 raise StructuralError(f"no value assigned for variable {self.varset.names[i]!r}")
             num, den = point[i].numerator, point[i].denominator
-            tables.append((i, [num ** e * den ** (top - e) for e in range(top + 1)]))
+            tables.append((i, _power_table(num, den, top)))
             denominator *= den ** top
         total = 0
         for mono, coeff in self._terms.items():
@@ -312,40 +317,26 @@ class MultiPoly:
                 raise StructuralError(f"cannot bind {name!r}: not in {self.varset.names}")
             if not isinstance(value, int):
                 raise StructuralError(f"binding for {name!r} must be an integer")
-        bound = [self.varset.index(name) for name in bindings]
-        keep = [i for i in range(len(self.varset)) if i not in set(bound)]
-        values = [0] * len(self.varset)
-        for name, value in bindings.items():
-            values[self.varset.index(name)] = value
+        bound = {self.varset.index(name): value for name, value in bindings.items()}
+        keep = [i for i in range(len(self.varset)) if i not in bound]
         remaining = VariableSet(self.varset.names[i] for i in keep)
+        if not self._terms:
+            return MultiPoly.zero(remaining)
+        tops = [max(column) for column in zip(*self._terms)]
+        tables = [(i, _power_table(value, 1, tops[i])) for i, value in bound.items() if tops[i]]
         out: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
-            scale = coeff
-            for i in bound:
-                scale *= values[i] ** mono[i]
-            if scale == 0:
+            for i, table in tables:
+                coeff *= table[mono[i]]
+            if coeff == 0:
                 continue
             new_mono = tuple(mono[i] for i in keep)
-            s = out.get(new_mono, 0) + scale
+            s = out.get(new_mono, 0) + coeff
             if s:
                 out[new_mono] = s
             elif new_mono in out:
                 del out[new_mono]
         return MultiPoly._raw(remaining, out)
-
-    def lift_to(self, varset: VariableSet) -> "MultiPoly":
-        """Reinterpret over a larger variable set (new variables get exponent 0)."""
-        for name in self.varset:
-            if name not in varset:
-                raise StructuralError(f"{name!r} missing from target variables {varset.names}")
-        mapping = [varset.index(name) for name in self.varset]
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            exps = [0] * len(varset)
-            for src, dst in enumerate(mapping):
-                exps[dst] = mono[src]
-            out[tuple(exps)] = coeff
-        return MultiPoly._raw(varset, out)
 
     # ------------------------------------------------------------------ comparison
 

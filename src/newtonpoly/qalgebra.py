@@ -6,14 +6,17 @@ commuting with everything.  A noncommutative polynomial is a MultiPoly over
 polyring.nc_mul applies the commutation factor q^(jk) when multiplying, so
 equality is plain MultiPoly equality.
 
-The q-binomial coefficients are kept as exact polynomials in q via the
-Pascal-type recurrence
+The q-binomial coefficients are exact polynomials in q, walked row by row by
+the Pascal-type recurrence
 
     [n, k] = [n-1, k-1] + q^k [n-1, k]
 
 with the rational-function product formula used only as an integer-valued
-cross-check at fixed q.  The noncommutative pair (P'_n, Q'_n) is grown by the
-recurrence
+cross-check at fixed q.  Nothing is cached: qbinomial(n, k) walks rows 0..n
+afresh, so a caller that needs many entries iterates qbinomial_rows() once
+instead of calling qbinomial(n, k) in a loop.
+
+The noncommutative pair (P'_n, Q'_n) is grown by the recurrence
 
     P'_{n+1} = a P'^2 - c Q'^2
     Q'_{n+1} = a P' Q' + a Q' P' + b Q'^2      (P'_0, Q'_0) = (x, y)
@@ -26,8 +29,9 @@ commutative pair over (a, b, c, x).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .closedform import IdentityCheckReport, p_contributions, q_contributions
 from .errors import check_index
@@ -45,15 +49,17 @@ def _q_power(exponent: int) -> MultiPoly:
     return MultiPoly.variable(ABCQ, "q", exponent) if exponent else _ONE3
 
 
-@functools.lru_cache(maxsize=None)
+def qbinomial_rows() -> Iterator[tuple[MultiPoly, ...]]:
+    """Rows 0, 1, 2, ... of Gaussian polynomials; row n is ([n, 0], ..., [n, n])."""
+    row = (_ONE3,)
+    while True:
+        yield row
+        inner = (row[k - 1] + _q_power(k) * row[k] for k in range(1, len(row)))
+        row = (_ONE3, *inner, _ONE3)
+
+
 def _qbinomial_row(n: int) -> tuple[MultiPoly, ...]:
-    # Row n is built from the cached row n - 1; the cache never exposes a
-    # partly built row, so concurrent callers at worst compute a row twice.
-    if n == 0:
-        return (_ONE3,)
-    previous = _qbinomial_row(n - 1)
-    inner = (previous[k - 1] + _q_power(k) * previous[k] for k in range(1, n))
-    return (_ONE3, *inner, _ONE3)
+    return next(islice(qbinomial_rows(), n, None))
 
 
 def qbinomial(n: int, k: int) -> MultiPoly:
@@ -94,19 +100,16 @@ _X_INDEX = ABCQXY.index("x")
 _Y_INDEX = ABCQXY.index("y")
 
 
-def _word(coeff: MultiPoly, i: int, j: int) -> MultiPoly:
-    """A coefficient over (a, b, c, q) attached to the word x^i y^j."""
-    return coeff.lift_to(ABCQXY) * MultiPoly.term(ABCQXY, 1, x=i, y=j)
-
-
 def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
     """Check (x + y)^n = sum_k [n, k]_q x^k y^(n-k) for 1 <= n <= max_n."""
     x_plus_y = _X + _Y
     power = _ONE
-    for n in range(1, max_n + 1):
+    for n, row in zip(range(1, max_n + 1), islice(qbinomial_rows(), 1, None)):
         power = nc_mul(power, x_plus_y)
-        expected = sum((_word(qbinomial(n, k), k, n - k) for k in range(n + 1)),
-                       MultiPoly.zero(ABCQXY))
+        # [n, k] over (a, b, c, q) attached to the word x^k y^(n - k)
+        expected = MultiPoly(ABCQXY, {(a, b, c, q, k, n - k): value
+                                      for k, coeff in enumerate(row)
+                                      for (a, b, c, q), value in coeff.sorted_terms()})
         if power != expected:
             return IdentityCheckReport("q-binomial theorem", max_n, False, n)
     return IdentityCheckReport("q-binomial theorem", max_n, True)
@@ -137,7 +140,12 @@ def _nc_sum(n: int, contributions) -> MultiPoly:
 def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
     """The conjectured closed forms: q-deform the outer binomial, append y^(2^n - k)."""
     check_index(n, cap)
-    return _nc_sum(n, p_contributions(n, qbinomial)), _nc_sum(n, q_contributions(n, qbinomial))
+    row = _qbinomial_row(2 ** n)
+
+    def outer(_size: int, k: int) -> MultiPoly:
+        return row[k]
+
+    return _nc_sum(n, p_contributions(n, outer)), _nc_sum(n, q_contributions(n, outer))
 
 
 @dataclass(frozen=True)

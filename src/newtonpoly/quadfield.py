@@ -1,4 +1,4 @@
-"""Exact roots and Mobius conjugacy in Q(sqrt(d)); the root form over Z[sqrt(d)].
+"""Exact roots and Mobius conjugacy in Q(sqrt(d)); the root form over Z[s]/(s^2 - d).
 
 The Newton map of a quadratic with distinct roots r1, r2 is conjugate to plain
 squaring via the fractional linear map sending the roots to 0 and infinity:
@@ -17,11 +17,18 @@ cancel and
 
     Q_n = (A - B) / (2^N s)        P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s)
 
-A and B are expanded separately, in integers over Z[s]: pairs (u, v) standing
-for u + v s, or plain ints when d is a perfect square and s = isqrt(d).  The
-radical parts cancel exactly; the check that they do sits at the division by
-s, where each numerator's u part must be 0, and one exact divmod by the
-integer denominator follows.  Either failure raises DomainError.
+A and B are expanded separately, in integers over Z[s]/(s^2 - d): pairs (u, v)
+standing for u + v s, for every d.  Both identities above hold in
+Z[a, b, c, x][s]/(s^2 - d), where 1, s is a basis, so specializing a, b, c
+keeps every u part zero and every v part equal to its symbolic value, even
+when d is a perfect square: s stays formal there and is never folded into
+isqrt(d).  The check that the radical parts cancel sits at the division by
+s, where each numerator's u part must be 0, and runs for every input; one
+exact divmod by the integer denominator follows.  Either failure raises
+DomainError.
+
+Only the conjugacy route (QuadExt) works in the field Q(sqrt(d)), where a
+square d must fold: z = r2 is then a real pole at a rational root.
 """
 
 from __future__ import annotations
@@ -36,19 +43,11 @@ from .newton import DEFAULT_CAP, QuadraticCoeffs, iterate_value
 from .polyring import X_ONLY, MultiPoly
 
 
-def _square_root(d: int) -> int | None:
-    """The integer square root of d when d is a perfect square, else None."""
-    if d >= 0:
+def _fold_square(u: Fraction, v: Fraction, d: int) -> tuple[Fraction, Fraction]:
+    """u + v sqrt(d) with the principal root folded into u when d is a perfect square."""
+    if v and d >= 0:
         root = math.isqrt(d)
         if root * root == d:
-            return root
-    return None
-
-
-def _fold_square(u: Fraction, v: Fraction, d: int) -> tuple[Fraction, Fraction]:
-    if v:
-        root = _square_root(d)
-        if root is not None:
             return u + v * root, Fraction(0)
     return u, v
 
@@ -320,54 +319,43 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
 
 # ---------------------------------------------------------------- root form
 
-def _expand(two_a: int, b: int, sign: int, d: int, size: int) -> list:
-    """Ascending coefficients of (2a x + b + sign sqrt(d))^size.
+def _expand(two_a: int, b: int, sign: int, d: int, size: int) -> list[tuple[int, int]]:
+    """Ascending coefficients of (2a x + b + sign s)^size in Z[s]/(s^2 - d).
 
-    The coefficient of x^k is C(size, k) (2a)^k (b + sign sqrt(d))^(size - k).
-    When d is a perfect square each one is a plain int; otherwise it is a
-    pair (u, v) standing for u + v sqrt(d), and the powers of b + sign sqrt(d)
-    come from (u, v)(b, sign) = (b u + sign d v, sign u + b v).
+    The coefficient of x^k is C(size, k) (2a)^k (b + sign s)^(size - k), a
+    pair (u, v) standing for u + v s; the powers of b + sign s come from
+    (u, v)(b, sign) = (b u + sign d v, sign u + b v).
     """
     scales = [1]                    # C(size, k) (2a)^k; each division below is exact
     for k in range(1, size + 1):
         scales.append(scales[-1] * (size - k + 1) * two_a // k)
-    root = _square_root(d)
-    coeffs: list = []
-    if root is not None:
-        base = b + sign * root
-        power = 1
-        for scale in reversed(scales):
-            coeffs.append(scale * power)
-            power *= base
-    else:
-        u, v = 1, 0
-        for scale in reversed(scales):
-            coeffs.append((scale * u, scale * v))
-            u, v = b * u + sign * d * v, sign * u + b * v
+    coeffs = []
+    u, v = 1, 0
+    for scale in reversed(scales):
+        coeffs.append((scale * u, scale * v))
+        u, v = b * u + sign * d * v, sign * u + b * v
     coeffs.reverse()
     return coeffs
 
 
-def _integer_poly(numerators: Sequence, denominator: int, d: int,
+def _integer_poly(numerators: Sequence[tuple[int, int]], denominator: int, d: int,
                   name: str) -> MultiPoly:
-    """The polynomial over {x} whose x^k coefficient is numerators[k] / denominator.
+    """The polynomial over {x} whose x^k coefficient is numerators[k] / (s denominator).
 
-    A pair (u, v) numerator stands for (u + v sqrt(d)) / sqrt(d) = v + (u/d) sqrt(d):
+    A numerator (u, v) stands for u + v s, and (u + v s) / s = v + (u/d) s:
     its u must be 0, or the coefficient keeps a radical part.  Every quotient
-    must then be exact.  Either failure means the root form did not reproduce
-    an integer polynomial, and is reported.
+    v / denominator must then be exact.  Either failure means the root form
+    did not reproduce an integer polynomial, and is reported.
     """
     terms = {}
-    for power, numerator in enumerate(numerators):
-        if isinstance(numerator, tuple):
-            u, numerator = numerator
-            if u:
-                value = QuadExt(Fraction(numerator, denominator),
-                                Fraction(u, d * denominator), d)
-                raise DomainError(f"{name}: coefficient {value} of x^{power} keeps a radical part")
-        quotient, remainder = divmod(numerator, denominator)
+    for power, (u, v) in enumerate(numerators):
+        if u:
+            raise DomainError(f"{name}: coefficient {Fraction(v, denominator)} + "
+                              f"{Fraction(u, d * denominator)}*sqrt({d}) of x^{power} "
+                              f"keeps a radical part")
+        quotient, remainder = divmod(v, denominator)
         if remainder:
-            raise DomainError(f"{name}: coefficient {Fraction(numerator, denominator)} "
+            raise DomainError(f"{name}: coefficient {Fraction(v, denominator)} "
                               f"of x^{power} is not an integer")
         if quotient:
             terms[(power,)] = quotient
@@ -387,9 +375,9 @@ def root_form_pair(coeffs: QuadraticCoeffs, n: int,
         Q_n = (A - B) / (2^N s)
         P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s)
 
-    A and B are expanded separately in Z[s].  Dividing a numerator by s
-    must leave no radical part, and dividing by the integer denominator must
-    be exact, else DomainError names the coefficient.
+    A and B are expanded separately in Z[s]/(s^2 - d), for every d.  Dividing
+    a numerator by s must leave no radical part, and dividing by the integer
+    denominator must be exact, else DomainError names the coefficient.
     """
     check_index(n, cap)
     d = _integer_radicand(coeffs)
@@ -397,15 +385,9 @@ def root_form_pair(coeffs: QuadraticCoeffs, n: int,
     size = 2 ** n
     plus = _expand(2 * a, b, 1, d, size)
     minus = _expand(2 * a, b, -1, d, size)
-    root = _square_root(d)
-    if root is not None:            # s = root: every value is a plain int
-        p = [(root - b) * u + (root + b) * w for u, w in zip(plus, minus)]
-        q = [u - w for u, w in zip(plus, minus)]
-        scale = root
-    else:                           # (u, v) and (w, y) stand for u + v s and w + y s
-        p = [(d * (v + y) - b * (u - w), u + w - b * (v - y))
-             for (u, v), (w, y) in zip(plus, minus)]
-        q = [(u - w, v - y) for (u, v), (w, y) in zip(plus, minus)]
-        scale = 1
-    return (_integer_poly(p, 2 ** (size + 1) * a * scale, d, "P"),
-            _integer_poly(q, 2 ** size * scale, d, "Q"))
+    # (u, v) and (w, y) stand for u + v s and w + y s
+    p = [(d * (v + y) - b * (u - w), u + w - b * (v - y))
+         for (u, v), (w, y) in zip(plus, minus)]
+    q = [(u - w, v - y) for (u, v), (w, y) in zip(plus, minus)]
+    return (_integer_poly(p, 2 ** (size + 1) * a, d, "P"),
+            _integer_poly(q, 2 ** size, d, "Q"))

@@ -122,6 +122,19 @@ class TestGenerate:
         assert result.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--n", "1", "--out"),
+    ("generate", "--n", "1", "--method", "closed", "--audit"),
+    ("eval", "--n", "1", "--a", "1", "--b", "0", "--c=-1", "--x", "2", "--out"),
+    ("verify", "lemma1", "--max-n", "2", "--report"),
+], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.json"
+    assert cli.main([*argv, str(target)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write {target}: No such file or directory\n"
+
+
 class TestEval:
     def test_worked_sample(self):
         result = run_cli("eval", "--n", "1", "--a", "1", "--b", "-3", "--c", "2", "--x", "3")

@@ -13,6 +13,7 @@ from newtonpoly.qalgebra import (
     nc_iterate,
     qbinomial,
     qbinomial_product_value,
+    qbinomial_rows,
     qbinomial_theorem_check,
 )
 
@@ -55,6 +56,13 @@ class TestQBinomial:
 
     def test_4_choose_2(self):
         assert qbinomial(4, 2) == qpoly(1, 1, 2, 1, 1)
+
+    def test_rows_walk_the_pascal_recurrence(self):
+        rows = qbinomial_rows()
+        assert [next(rows) for _ in range(3)] == [
+            (qpoly(1),), (qpoly(1), qpoly(1)), (qpoly(1), qpoly(1, 1), qpoly(1))]
+        # each walk starts afresh at row 0
+        assert next(qbinomial_rows()) == (qpoly(1),)
 
     def test_out_of_range_is_zero(self):
         assert qbinomial(3, 5).is_zero

@@ -315,14 +315,17 @@ class TestRootForm:
         with pytest.raises(StructuralError):
             root_form_pair(QuadraticCoeffs(Fraction(1, 2), 0, -1), 1)
 
-    @pytest.mark.parametrize("extra, message", [
-        ((0, 1), "keeps a radical part"),
-        ((1, 0), "is not an integer"),
-    ], ids=["radical", "fraction"])
-    def test_coefficient_guard(self, monkeypatch, extra, message):
-        # Shift the constant term of both expansions A and B by e = u + v sqrt(5):
-        # P's numerator gains 2 sqrt(5) e, so its constant coefficient gains
-        # e / (2^N a), which the guard must refuse to round away.
+    @pytest.mark.parametrize("triple, extra, message", [
+        ((1, 1, -1), (0, 1), "keeps a radical part"),
+        ((1, 1, -1), (1, 0), "is not an integer"),
+        ((1, 0, -1), (0, 1), "keeps a radical part"),
+    ], ids=["radical", "fraction", "radical-square-d"])
+    def test_coefficient_guard(self, monkeypatch, triple, extra, message):
+        # Shift the constant term of both expansions A and B by e = u + v s:
+        # P's numerator gains 2 s e, so its constant coefficient gains
+        # e / (2^N a), which the guard must refuse to round away.  With
+        # d = 4 a perfect square, s stays formal in Z[s]/(s^2 - 4), so the
+        # radical check runs there too.
         expand = quadfield._expand
 
         def shifted(two_a, b, sign, d, size):
@@ -333,7 +336,7 @@ class TestRootForm:
 
         monkeypatch.setattr(quadfield, "_expand", shifted)
         with pytest.raises(DomainError, match=f"P: coefficient .* of x\\^0 {message}"):
-            root_form_pair(QuadraticCoeffs(1, 1, -1), 2)
+            root_form_pair(QuadraticCoeffs(*triple), 2)
 
 
 class TestCrossRouteValue:

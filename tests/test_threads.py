@@ -1,6 +1,8 @@
-"""Shared values and caches must stay correct when threads race to fill them."""
+"""Shared values must stay correct when threads use them at once."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -12,7 +14,11 @@ THREADS = 4
 
 
 def race() -> None:
-    """Fill the binomial and q-binomial caches from THREADS threads at once."""
+    """Build binomials and q-binomials from THREADS threads at once.
+
+    Nothing is cached: every call builds its value from immutable module
+    constants, which the threads share and must leave intact.
+    """
     from newtonpoly.closedform import binomial
     from newtonpoly.qalgebra import qbinomial
 
@@ -45,13 +51,23 @@ def race() -> None:
 
 
 def test_concurrent_cache_fill():
-    # A fresh interpreter, so the caches start empty and the race is real.
+    # A fresh interpreter, so no earlier test has touched the shared values.
     src = str(Path(newtonpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_no_module_level_caches():
+    # A memoizing cache is mutable state shared by every thread; none may exist.
+    cached = []
+    for info in pkgutil.walk_packages(newtonpoly.__path__, "newtonpoly."):
+        module = importlib.import_module(info.name)
+        cached += [f"{info.name}.{name}" for name, value in vars(module).items()
+                   if hasattr(value, "cache_info")]
+    assert not cached, cached
 
 
 if __name__ == "__main__":
