@@ -5,7 +5,9 @@ any refactor of those layers must leave every byte of these outputs alone.
 The noncommutative pins hash the (P'_n, Q'_n) pair itself, in the MultiPoly
 JSON schema over (a, b, c, q, x, y), and were taken while the pair was still
 stored as a map from words x^i y^j to coefficients over (a, b, c, q), with
-(i, j) appended as the last two exponents.
+(i, j) appended as the last two exponents.  The audit pins hash the
+provenance file of the closed form, one JSON line per contribution, and were
+taken before the closed-form loops were rewritten around one Lemma 1 row.
 """
 
 import hashlib
@@ -92,6 +94,16 @@ QBINOM_WIDE = (
     "34ea14adb0bd5fd7ec865b38388b91b7960847b89414a9f18d6bd597991ce3ab",
 )
 
+# The provenance file of generate --n N --method closed --audit, n = 0..5.
+AUDIT = (
+    "ae34b5232b1fef46bdc5ff27daddbcda90b2ebbffdda655a7ce046458a36c9f6",
+    "52b40f5de2d11c2e6dd508c417d539585c40a71e0d2a3e3982147a0380c6c94e",
+    "dd02d2dcf24487caeaff98dc3920fbe06ddf34b383c1146e71228f4695a062b5",
+    "aff56c497118203202dbef356a2d840ba3bde64c087f4cebfa80edfa62c56b0d",
+    "25725ce4696f094df467fba3cd957ab8b205cd9468544075bb181e16f7533d32",
+    "5ae5323b4e428474b158a3d67bb23ce4f0efad9656e60301c72a1d8c8c06e4e3",
+)
+
 # canonical_json of (P'_n, Q'_n).to_dict() from nc_iterate(n), n = 0..4.
 NC_ITERATE = (
     ("19991e109b259f49b8b8dc1ee8c3e405cad4f61b58730ca5513893b3974fb225",
@@ -120,6 +132,13 @@ def test_rootform_pins_cover_every_reference_triple():
 @pytest.mark.parametrize("n", sorted(GENERATE))
 def test_generate(capsys, method, n):
     assert stdout_sha256(capsys, "generate", "--n", str(n), "--method", method) == GENERATE[n]
+
+
+@pytest.mark.parametrize("n", range(len(AUDIT)))
+def test_generate_audit(capsys, tmp_path, n):
+    target = tmp_path / "audit.jsonl"
+    stdout_sha256(capsys, "generate", "--n", str(n), "--method", "closed", "--audit", str(target))
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == AUDIT[n]
 
 
 @pytest.mark.parametrize("triple", sorted(ROOTFORM))
