@@ -1,24 +1,22 @@
 """Closed-form construction of the Newton iterate pair via explicit double sums.
 
-This is the second, independent route to (P_n, Q_n): each coefficient is read
-off directly as a signed product of two binomial coefficients, never touching
-the recurrence.  The same loops can run in audit mode, which emits one
-provenance record per contribution so the binomial structure of every
-coefficient can be inspected downstream (that structure is what bounds the
-prime factors of the coefficients).
+This is the second, independent route to (P_n, Q_n), never touching the
+recurrence: each coefficient is an entry C(2^n, k) of an outer row times an
+entry of the row of the power-difference identity (Lemma 1)
 
-Also houses the power-difference identity
+    x^m - y^m = (x - y) * sum_j (-1)^j C(m-j-1, j) (x+y)^(m-2j-1) (xy)^j
 
-    x^n - y^n = (x - y) * sum_i (-1)^i C(n-i-1, i) (x+y)^(n-2i-1) (xy)^i
-
-and its machine checks, which the closed-form derivation leans on.
+and each (k, j) contributes exactly one term.  In audit mode the same loops
+emit one provenance record per monomial, so the binomial structure of every
+coefficient (what bounds its prime factors) can be inspected downstream.
+The machine checks of the identity itself live here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .errors import check_index
 from .newton import DEFAULT_CAP
@@ -30,11 +28,16 @@ T = TypeVar("T")
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k), with C(n, k) = 0 outside 0 <= k <= n.
 
-    The zero convention is what lets the closed-form sums truncate themselves.
+    The closed-form sums do not lean on it: lemma1_row stops at its last nonzero entry.
     """
     if n < 0:
         raise ValueError(f"binomial row must be nonnegative, got {n}")
     return math.comb(n, k) if k >= 0 else 0
+
+
+def lemma1_row(m: int) -> list[int]:
+    """(-1)^j C(m-j-1, j) for 0 <= j <= m-j-1: Lemma 1's nonzero coefficients; empty at m = 0."""
+    return [(-1) ** j * binomial(m - j - 1, j) for j in range((m + 1) // 2)]
 
 
 @dataclass(frozen=True)
@@ -59,71 +62,65 @@ class AuditRecord:
         }
 
 
-def p_contributions(n: int, outer: Callable[[int, int], T]
-                    ) -> Iterator[tuple[int, int, T, Monomial]]:
+def p_contributions(n: int, row: Sequence[T]) -> Iterator[tuple[int, int, T, Monomial]]:
     """(k, j, coefficient, monomial) for each term of the P_n double sum.
 
-    The coefficient is ``outer(2^n, k) * (+-C(2^n-k-j-2, j))``: ``binomial``
-    gives the commutative sum, and a q-binomial the q-deformed one.  ``outer``
-    is called once per k.
-    The monomial is over (a, b, c, x), with x^k.  The leading term
-    a^(2^n-1) x^(2^n) comes first, as k = 2^n with coefficient outer(2^n, 2^n).
+    The coefficient is ``row[k] * -lemma1_row(2^n-k-1)[j]`` for an outer row
+    k = 0..2^n: C(2^n, k) gives the commutative sum, a q-binomial row the
+    q-deformed one.  The monomial a^(k+j) b^(2^n-k-2j-2) c^(j+1) x^k is over
+    (a, b, c, x); the leading term a^(2^n-1) x^(2^n) comes first, as k = 2^n.
+
+    One term per contribution: the exponents of x and c give back (k, j), and
+    only the leading term has x^(2^n).  No coefficient is zero, since
+    C(2^n, k) != 0 and lemma1_row holds no zeros.  The same holds for Q_n's
+    monomials a^(k+j) b^(2^n-k-2j-1) c^j x^k.
     """
     size = 2 ** n
-    yield (size, 0, outer(size, size), (size - 1, 0, 0, size))
+    yield (size, 0, row[size], (size - 1, 0, 0, size))
     for k in range(size - 1):
-        factor = outer(size, k)
-        for j in range(size - k - 1):
-            inner = binomial(size - k - j - 2, j)
-            if inner == 0:
-                continue
-            yield (k, j, factor * (-((-1) ** j) * inner),
-                   (k + j, size - k - 2 * j - 2, j + 1, k))
+        for j, inner in enumerate(lemma1_row(size - k - 1)):
+            yield (k, j, row[k] * -inner, (k + j, size - k - 2 * j - 2, j + 1, k))
 
 
-def q_contributions(n: int, outer: Callable[[int, int], T]
-                    ) -> Iterator[tuple[int, int, T, Monomial]]:
+def q_contributions(n: int, row: Sequence[T]) -> Iterator[tuple[int, int, T, Monomial]]:
     """(k, j, coefficient, monomial) for each term of the Q_n double sum; see p_contributions."""
     size = 2 ** n
     for k in range(size):
-        factor = outer(size, k)
-        for j in range(size - k):
-            inner = binomial(size - k - j - 1, j)
-            if inner == 0:
-                continue
-            yield (k, j, factor * (((-1) ** j) * inner),
-                   (k + j, size - k - 2 * j - 1, j, k))
+        for j, inner in enumerate(lemma1_row(size - k)):
+            yield (k, j, row[k] * inner, (k + j, size - k - 2 * j - 1, j, k))
+
+
+def _binomial_row(n: int) -> list[int]:
+    size = 2 ** n
+    return [binomial(size, k) for k in range(size + 1)]
 
 
 def closed_p(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
-    """Numerator P_n over (a, b, c, x), built term-by-term from the double sum."""
+    """Numerator P_n over (a, b, c, x), one term per contribution of the double sum."""
     check_index(n, cap)
-    terms: dict[Monomial, int] = {}
-    for _k, _j, coeff, mono in p_contributions(n, binomial):
-        terms[mono] = terms.get(mono, 0) + coeff
-    return MultiPoly(ABCX, terms)
+    return MultiPoly._raw(ABCX, {mono: coeff for _k, _j, coeff, mono
+                                 in p_contributions(n, _binomial_row(n))})
 
 
 def closed_q(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
-    """Denominator Q_n over (a, b, c, x), built term-by-term from the double sum."""
+    """Denominator Q_n over (a, b, c, x), one term per contribution of the double sum."""
     check_index(n, cap)
-    terms: dict[Monomial, int] = {}
-    for _k, _j, coeff, mono in q_contributions(n, binomial):
-        terms[mono] = terms.get(mono, 0) + coeff
-    return MultiPoly(ABCX, terms)
+    return MultiPoly._raw(ABCX, {mono: coeff for _k, _j, coeff, mono
+                                 in q_contributions(n, _binomial_row(n))})
 
 
 def closed_audit(n: int, cap: int = DEFAULT_CAP) -> list[AuditRecord]:
     """Provenance records for every closed-form contribution to P_n and Q_n.
 
-    The records reconstruct the polynomials exactly: summing the signed
-    contributions per monomial gives back closed_p(n) / closed_q(n).
+    Each record is one term of closed_p(n) or closed_q(n), and each term has
+    exactly one record.
     """
     check_index(n, cap)
+    row = _binomial_row(n)
     records = [AuditRecord("P", n, k, j, coeff, mono)
-               for k, j, coeff, mono in p_contributions(n, binomial)]
+               for k, j, coeff, mono in p_contributions(n, row)]
     records.extend(AuditRecord("Q", n, k, j, coeff, mono)
-                   for k, j, coeff, mono in q_contributions(n, binomial))
+                   for k, j, coeff, mono in q_contributions(n, row))
     return records
 
 
@@ -147,12 +144,8 @@ def lemma1_rhs(n: int) -> MultiPoly:
     for _ in range(n - 1):
         plus_powers.append(plus_powers[-1] * plus)
     acc = MultiPoly.zero(XY)
-    for i in range(n):
-        coeff = binomial(n - i - 1, i)
-        if coeff == 0:
-            continue
-        term = plus_powers[n - 2 * i - 1] * ((-1) ** i * coeff)
-        acc = acc + term * MultiPoly.term(XY, 1, x=i, y=i)
+    for i, coeff in enumerate(lemma1_row(n)):
+        acc = acc + plus_powers[n - 2 * i - 1] * coeff * MultiPoly.term(XY, 1, x=i, y=i)
     return (_X - _Y) * acc
 
 

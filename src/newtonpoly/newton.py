@@ -139,38 +139,33 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
 # `width` cells per row, cell e holding the coefficient of x^e.  Its Kronecker
 # image puts cell (k, e) in slot k * stride + e of an integer, each slot
 # `size` bytes wide.  The stride must exceed every x exponent of a product.
+# One slot encoding serves both directions: a slot holds its value plus the
+# bias 2^(8 size - 1), which makes every slot in [-2^(8 size - 1),
+# 2^(8 size - 1)) a nonnegative, carry-free run of bytes, and the packed bias
+# (_bias) is subtracted after packing and added back before unpacking.
+
+
+def _bias(slots: int, size: int) -> int:
+    """2^(8 size - 1) in each of ``slots`` slots of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
 def _pack(cells: list[int], width: int, stride: int, size: int) -> int:
-    """Kronecker image of a signed grid: positive part minus negative part."""
-    zero = bytes(size)
-    pad = zero * (stride - width)
-    positive, negative = bytearray(), bytearray()
+    """Kronecker image of a signed grid: biased slots, one buffer, less the packed bias."""
+    half = 1 << (8 * size - 1)
+    pad = half.to_bytes(size, "little") * (stride - width)
+    biased = bytearray()
     for start in range(0, len(cells), width):
         for coeff in cells[start:start + width]:
-            if coeff > 0:
-                positive += coeff.to_bytes(size, "little")
-                negative += zero
-            elif coeff < 0:
-                positive += zero
-                negative += (-coeff).to_bytes(size, "little")
-            else:
-                positive += zero
-                negative += zero
-        positive += pad
-        negative += pad
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+            biased += (coeff + half).to_bytes(size, "little")
+        biased += pad
+    return int.from_bytes(biased, "little") - _bias(len(cells) // width * stride, size)
 
 
 def _unpack(value: int, slots: int, size: int) -> list[int]:
-    """Inverse of ``_pack`` for slot values in [-2^(8 size - 1), 2^(8 size - 1)).
-
-    Adding 2^(8 size - 1) to every slot makes each one nonnegative and
-    carry-free, so the slots can be read back as plain bytes.
-    """
+    """Inverse of ``_pack`` for slot values in [-2^(8 size - 1), 2^(8 size - 1))."""
     half = 1 << (8 * size - 1)
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-    raw = memoryview((value + bias).to_bytes(slots * size, "little"))
+    raw = memoryview((value + _bias(slots, size)).to_bytes(slots * size, "little"))
     return [int.from_bytes(raw[i:i + size], "little") - half
             for i in range(0, slots * size, size)]
 

@@ -108,9 +108,10 @@ class MultiPoly:
                 if len(mono) != width:
                     raise StructuralError(
                         f"exponent tuple {mono!r} does not match variables {varset.names}")
-                if any(e < 0 or not isinstance(e, int) for e in mono):
+                # type(), not isinstance(): a bool (JSON true/false) is not a number.
+                if not all(type(e) is int and e >= 0 for e in mono):
                     raise StructuralError(f"exponents must be nonnegative integers: {mono!r}")
-                if not isinstance(coeff, int):
+                if type(coeff) is not int:
                     raise StructuralError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
                     clean[tuple(mono)] = clean.get(tuple(mono), 0) + coeff
@@ -361,7 +362,9 @@ class MultiPoly:
     def from_dict(cls, data: Mapping) -> "MultiPoly":
         try:
             varset = VariableSet(data["vars"])
-            terms = {tuple(t["exp"]): int(t["coeff"]) for t in data["terms"]}
+            # A decimal string is parsed; anything else is left for the constructor to check.
+            terms = {tuple(t["exp"]): int(c) if isinstance(c := t["coeff"], str) else c
+                     for t in data["terms"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed polynomial JSON: {exc}") from exc
         return cls(varset, terms)

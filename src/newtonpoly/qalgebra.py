@@ -126,26 +126,23 @@ def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]
 
 
 def _nc_sum(n: int, contributions) -> MultiPoly:
-    # Each closed-form term of x^k becomes the word x^k y^(2^n - k); its
-    # coefficient, over (a, b, c, q), is accumulated into one term dictionary.
+    # Each closed-form term of x^k becomes the word x^k y^(2^n - k), one word per
+    # term of its coefficient; (k, j, q) name a word, so no two words coincide.
     size = 2 ** n
-    terms: dict[tuple[int, ...], int] = {}
-    for k, _j, coeff, (a, b, c, _x) in contributions:
-        for (ca, cb, cc, q), value in coeff.sorted_terms():
-            word = (a + ca, b + cb, c + cc, q, k, size - k)
-            terms[word] = terms.get(word, 0) + value
-    return MultiPoly(ABCQXY, terms)
+    return MultiPoly._raw(ABCQXY, {(a + ca, b + cb, c + cc, q, k, size - k): value
+                                   for k, _j, coeff, (a, b, c, _x) in contributions
+                                   for (ca, cb, cc, q), value in coeff._terms.items()})
+
+
+def _nc_closed(n: int, row: tuple[MultiPoly, ...]) -> tuple[MultiPoly, MultiPoly]:
+    # row is the q-binomial row 2^n.
+    return _nc_sum(n, p_contributions(n, row)), _nc_sum(n, q_contributions(n, row))
 
 
 def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
     """The conjectured closed forms: q-deform the outer binomial, append y^(2^n - k)."""
     check_index(n, cap)
-    row = _qbinomial_row(2 ** n)
-
-    def outer(_size: int, k: int) -> MultiPoly:
-        return row[k]
-
-    return _nc_sum(n, p_contributions(n, outer)), _nc_sum(n, q_contributions(n, outer))
+    return _nc_closed(n, _qbinomial_row(2 ** n))
 
 
 @dataclass(frozen=True)
@@ -170,12 +167,14 @@ def _first_differing_word(left: MultiPoly, right: MultiPoly) -> Word | None:
 
 
 def conjecture_check(max_n: int, cap: int = DEFAULT_NC_CAP) -> QConjectureReport:
-    """Compare nc_iterate(n) with nc_closed(n) for 0 <= n <= max_n."""
+    """Compare nc_iterate(n) with nc_closed(n) for 0 <= n <= max_n, on one walk of the rows."""
+    check_index(max_n, cap)
+    rows = list(islice(qbinomial_rows(), 2 ** max_n + 1))
     per_n: list[dict] = []
     all_match = True
     for n in range(max_n + 1):
         rec_p, rec_q = nc_iterate(n, cap=cap)
-        cl_p, cl_q = nc_closed(n, cap=cap)
+        cl_p, cl_q = _nc_closed(n, rows[2 ** n])
         mismatch: Word | None = None
         if rec_p != cl_p:
             mismatch = _first_differing_word(rec_p, cl_p)

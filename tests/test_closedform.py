@@ -8,6 +8,7 @@ from newtonpoly.closedform import (
     lemma1_check,
     lemma1_recurrence_check,
     lemma1_rhs,
+    lemma1_row,
     power_difference,
 )
 from newtonpoly.errors import ResourceCapError
@@ -38,6 +39,14 @@ class TestBinomial:
     def test_negative_row_rejected(self):
         with pytest.raises(ValueError):
             binomial(-1, 0)
+
+    @pytest.mark.parametrize("m", range(65))
+    def test_lemma1_row_is_the_nonzero_range(self, m):
+        # The loop that ran over every i < m and skipped the zero entries.
+        skipping = [(-1) ** i * binomial(m - i - 1, i) for i in range(m)
+                    if binomial(m - i - 1, i) != 0]
+        assert lemma1_row(m) == skipping
+        assert 0 not in lemma1_row(m)
 
     def test_pascal_identity(self):
         for n in range(1, 21):
@@ -80,6 +89,12 @@ class TestAudit:
                     ABCX, {record.monomial: record.coeff})
             assert acc["P"] == closed_p(n)
             assert acc["Q"] == closed_q(n)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_one_record_per_monomial(self, n):
+        records = closed_audit(n)
+        assert len({(r.poly, r.monomial) for r in records}) == len(records)
+        assert len(records) == len(closed_p(n)) + len(closed_q(n))
 
     def test_every_record_is_a_product_of_two_binomials(self):
         for n in range(4):

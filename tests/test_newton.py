@@ -13,6 +13,8 @@ from newtonpoly.newton import (
     eval_pair,
     iterate_pair,
     iterate_value,
+    _pack,
+    _unpack,
     newton_step,
     sylvester_resultant,
 )
@@ -159,6 +161,31 @@ class TestIteratePair:
         polys[poly] = polys[poly] + MultiPoly.term(ABCX, 1, **extra)
         with pytest.raises(StructuralError, match="leading x-coefficient"):
             NewtonPair(1, polys["p"], polys["q"])
+
+
+class TestPacking:
+    @staticmethod
+    def round_trip(cells, width, stride, size):
+        rows = len(cells) // width
+        padded = [v for r in range(rows)
+                  for v in cells[r * width:(r + 1) * width] + [0] * (stride - width)]
+        assert _unpack(_pack(cells, width, stride, size), rows * stride, size) == padded
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_slot_extremes(self, size):
+        low, high = -(1 << (8 * size - 1)), (1 << (8 * size - 1)) - 1
+        self.round_trip([low, high, 0, high, low, -1], 3, 5, size)
+        self.round_trip([high] * 4, 2, 2, size)
+        self.round_trip([low] * 4, 2, 3, size)
+
+    def test_random_signed_grids(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            size = rng.randint(1, 6)
+            width, rows = rng.randint(1, 6), rng.randint(1, 5)
+            bound = 1 << (8 * size - 1)
+            cells = [rng.randrange(-bound, bound) for _ in range(width * rows)]
+            self.round_trip(cells, width, width + rng.randint(0, 4), size)
 
 
 class TestEvalPair:

@@ -261,6 +261,16 @@ class TestSerialization:
         with pytest.raises(StructuralError):
             MultiPoly.from_dict({"vars": ["a"], "terms": [{"exp": [1]}]})
 
+    @pytest.mark.parametrize("term", [
+        {"exp": ["1"], "coeff": "2"},     # once a TypeError from comparing "1" < 0
+        {"exp": [True], "coeff": "2"},    # once read as x^1 and written back as true
+        {"exp": [1], "coeff": 1.9},       # once truncated to 1
+        {"exp": [1], "coeff": True},      # once read as 1
+    ], ids=["string-exponent", "bool-exponent", "float-coeff", "bool-coeff"])
+    def test_malformed_term_rejected(self, term):
+        with pytest.raises(StructuralError):
+            MultiPoly.from_dict({"vars": ["a"], "terms": [term]})
+
     def test_rendering(self):
         p1 = poly(a=1, x=2) - poly(c=1)
         assert str(p1) == "a x^2 - c"
