@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from newtonpoly import qalgebra
 from newtonpoly.closedform import binomial
 from newtonpoly.errors import ResourceCapError, StructuralError
 from newtonpoly.newton import iterate_pair
@@ -203,6 +204,14 @@ class TestConjecture:
         report = conjecture_check(1)
         for entry in report.per_n:
             assert entry["first_differing_word"] is None
+
+    def test_cap_refused_before_any_construction(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a pair before checking the cap")
+        monkeypatch.setattr(qalgebra, "nc_iterate", unreachable)
+        monkeypatch.setattr(qalgebra, "qbinomial_rows", unreachable)
+        with pytest.raises(ResourceCapError, match="n = 7 exceeds the cap 4"):
+            conjecture_check(7)
 
     def test_first_differing_word_is_the_largest(self):
         left = nc(1, x=2, y=1) + nc(2, a=1, x=1, y=2) + nc(1, y=3)
