@@ -261,12 +261,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _samples(text: str) -> tuple[Fraction, ...]:
-    """argparse type: comma-separated exact sample points."""
+def _rational(text: str) -> Fraction:
+    """argparse type: one exact rational, such as 3, -1/2 or 0.25."""
     try:
-        return tuple(Fraction(piece) for piece in text.split(","))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from exc
+
+
+def _samples(text: str) -> tuple[Fraction, ...]:
+    """argparse type: comma-separated exact sample points."""
+    return tuple(_rational(piece) for piece in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate the n-th iterate at an exact point")
     ev.add_argument("--n", type=int, required=True)
-    ev.add_argument("--a", type=Fraction, required=True)
-    ev.add_argument("--b", type=Fraction, required=True)
-    ev.add_argument("--c", type=Fraction, required=True)
-    ev.add_argument("--x", type=Fraction, required=True)
+    ev.add_argument("--a", type=_rational, required=True)
+    ev.add_argument("--b", type=_rational, required=True)
+    ev.add_argument("--c", type=_rational, required=True)
+    ev.add_argument("--x", type=_rational, required=True)
     ev.add_argument("--out")
     ev.add_argument("--cap", type=int, default=DEFAULT_CAP)
     ev.set_defaults(func=_cmd_eval)

@@ -128,6 +128,8 @@ def closed_audit(n: int, cap: int = DEFAULT_CAP) -> list[AuditRecord]:
 
 _X = MultiPoly.variable(XY, "x")
 _Y = MultiPoly.variable(XY, "y")
+_PLUS = _X + _Y
+_PLUS_SQUARED = _PLUS * _PLUS
 
 
 def power_difference(n: int) -> MultiPoly:
@@ -136,17 +138,14 @@ def power_difference(n: int) -> MultiPoly:
 
 
 def lemma1_rhs(n: int) -> MultiPoly:
-    """Expanded (x - y) * sum_i (-1)^i C(n-i-1, i) (x+y)^(n-2i-1) (xy)^i, n >= 1."""
+    """Expanded (x - y) * sum_i (-1)^i C(n-i-1, i) (x+y)^(n-2i-1) (xy)^i, n >= 1,
+    with the sum taken by Horner's rule in (x+y)^2 (times x+y when n is even)."""
     if n < 1:
         raise ValueError(f"identity index must be positive, got {n}")
-    plus = _X + _Y
-    plus_powers = [MultiPoly.one(XY)]
-    for _ in range(n - 1):
-        plus_powers.append(plus_powers[-1] * plus)
     acc = MultiPoly.zero(XY)
     for i, coeff in enumerate(lemma1_row(n)):
-        acc = acc + plus_powers[n - 2 * i - 1] * coeff * MultiPoly.term(XY, 1, x=i, y=i)
-    return (_X - _Y) * acc
+        acc = acc * _PLUS_SQUARED + MultiPoly.term(XY, coeff, x=i, y=i)
+    return (_X - _Y) * (acc if n % 2 else acc * _PLUS)
 
 
 @dataclass(frozen=True)
@@ -180,13 +179,12 @@ def lemma1_recurrence_check(max_n: int) -> IdentityCheckReport:
 
     T is the generated right-hand side, with T(0) = 0; checked for 2 <= n <= max_n.
     """
-    plus = _X + _Y
     xy = MultiPoly.term(XY, 1, x=1, y=1)
     prev2 = MultiPoly.zero(XY)
     prev1 = lemma1_rhs(1)
     for n in range(2, max_n + 1):
         current = lemma1_rhs(n)
-        if current != plus * prev1 - xy * prev2:
+        if current != _PLUS * prev1 - xy * prev2:
             return IdentityCheckReport("induction-step recurrence", max_n, False, n)
         prev2, prev1 = prev1, current
     return IdentityCheckReport("induction-step recurrence", max_n, True)

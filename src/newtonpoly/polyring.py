@@ -21,6 +21,7 @@ parallel to ``vars`` and terms are listed in graded-lex order, highest first.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -362,9 +363,15 @@ class MultiPoly:
     def from_dict(cls, data: Mapping) -> "MultiPoly":
         try:
             varset = VariableSet(data["vars"])
-            # A decimal string is parsed; anything else is left for the constructor to check.
-            terms = {tuple(t["exp"]): int(c) if isinstance(c := t["coeff"], str) else c
-                     for t in data["terms"]}
+            terms = {}
+            for t in data["terms"]:
+                mono, coeff = tuple(t["exp"]), t["coeff"]
+                if mono in terms:
+                    raise ValueError(f"exponent {list(mono)} listed twice")
+                # A decimal string is parsed; anything else is left for the constructor to check.
+                if isinstance(coeff, str) and not re.fullmatch("-?[0-9]+", coeff):
+                    raise ValueError(f"coefficient {coeff!r} is not a decimal integer")
+                terms[mono] = int(coeff) if isinstance(coeff, str) else coeff
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed polynomial JSON: {exc}") from exc
         return cls(varset, terms)

@@ -134,15 +134,11 @@ def _nc_sum(n: int, contributions) -> MultiPoly:
                                    for (ca, cb, cc, q), value in coeff._terms.items()})
 
 
-def _nc_closed(n: int, row: tuple[MultiPoly, ...]) -> tuple[MultiPoly, MultiPoly]:
-    # row is the q-binomial row 2^n.
-    return _nc_sum(n, p_contributions(n, row)), _nc_sum(n, q_contributions(n, row))
-
-
 def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
     """The conjectured closed forms: q-deform the outer binomial, append y^(2^n - k)."""
     check_index(n, cap)
-    return _nc_closed(n, _qbinomial_row(2 ** n))
+    row = _qbinomial_row(2 ** n)
+    return _nc_sum(n, p_contributions(n, row)), _nc_sum(n, q_contributions(n, row))
 
 
 @dataclass(frozen=True)
@@ -167,27 +163,16 @@ def _first_differing_word(left: MultiPoly, right: MultiPoly) -> Word | None:
 
 
 def conjecture_check(max_n: int, cap: int = DEFAULT_NC_CAP) -> QConjectureReport:
-    """Compare nc_iterate(n) with nc_closed(n) for 0 <= n <= max_n, on one walk of the rows."""
+    """Compare nc_iterate(n) with nc_closed(n) for 0 <= n <= max_n."""
     check_index(max_n, cap)
-    rows = list(islice(qbinomial_rows(), 2 ** max_n + 1))
     per_n: list[dict] = []
-    all_match = True
     for n in range(max_n + 1):
-        rec_p, rec_q = nc_iterate(n, cap=cap)
-        cl_p, cl_q = _nc_closed(n, rows[2 ** n])
-        mismatch: Word | None = None
-        if rec_p != cl_p:
-            mismatch = _first_differing_word(rec_p, cl_p)
-            entry_poly = "P"
-        elif rec_q != cl_q:
-            mismatch = _first_differing_word(rec_q, cl_q)
-            entry_poly = "Q"
-        match = mismatch is None
-        per_n.append({
-            "n": n,
-            "match": match,
-            "first_differing_word":
-                None if match else {"poly": entry_poly, "x": mismatch[0], "y": mismatch[1]},
-        })
-        all_match = all_match and match
-    return QConjectureReport(max_n=max_n, per_n=tuple(per_n), passed=all_match)
+        word = None
+        for poly, rec, closed in zip("PQ", nc_iterate(n, cap=cap), nc_closed(n, cap=cap)):
+            if rec != closed:
+                x, y = _first_differing_word(rec, closed)
+                word = {"poly": poly, "x": x, "y": y}
+                break
+        per_n.append({"n": n, "match": word is None, "first_differing_word": word})
+    return QConjectureReport(max_n=max_n, per_n=tuple(per_n),
+                             passed=all(entry["match"] for entry in per_n))

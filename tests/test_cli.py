@@ -160,6 +160,20 @@ class TestEval:
         assert result.returncode == 1
         assert "domain error" in result.stderr
 
+    # Every rational flag goes through the parser --samples uses, so a bad
+    # value is one usage line, never a ZeroDivisionError traceback.
+    @pytest.mark.parametrize("flag, value", [
+        ("x", "1/0"), ("a", "1/0"), ("b", "1/0"), ("c", "1/0"), ("x", "abc"),
+    ], ids=lambda v: v)
+    def test_bad_rational_is_usage_error(self, flag, value):
+        given = {"a": "1", "b": "0", "c": "-1", "x": "2", flag: value}
+        result = run_cli("eval", "--n", "1", *(f"--{name}={v}" for name, v in given.items()))
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error:")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
 
 class TestVerify:
     def test_lemma1_passes(self):

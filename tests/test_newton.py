@@ -245,6 +245,45 @@ class TestResultant:
         common = x - b
         assert sylvester_resultant(common * (x + b), common * x, "x").is_zero
 
+    # The first elimination step leaves a zero on the diagonal of each
+    # Sylvester matrix, so the determinant must swap in a later row.
+    @pytest.mark.parametrize("p, q", [
+        (term(1, x=2) + term(1, x=1) + term(1), term(1, x=1) + term(1)),
+        (term(1, x=2) + term(1, a=1, x=1) + term(1), term(1, x=1) + term(1, a=1)),
+    ], ids=["x^2+x+1, x+1", "x^2+ax+1, x+a"])
+    def test_zero_pivot_swaps_rows(self, p, q):
+        assert sylvester_resultant(p, q, "x") == term(1)
+
+    def test_matches_sympy_on_seeded_pairs(self):
+        # The oracle is sympy's own Sylvester matrix, expanded by Berkowitz's
+        # method rather than by Bareiss elimination.  (sympy.resultant itself
+        # flips the sign for x-degrees (1, 3) in sympy 1.14.)
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.subresultants_qq_zz import sylvester
+        symbols = sympy.symbols("a b c x")
+
+        def to_sympy(poly):
+            return sum((coeff * sympy.prod(s ** e for s, e in zip(symbols, mono))
+                        for mono, coeff in poly.sorted_terms()), sympy.Integer(0))
+
+        def random_in_x(rng):
+            # x-degree 1..3 with a nonzero leading coefficient; the lower
+            # coefficients in Z[a, b, c] are often zero, so pivots vanish.
+            degree = rng.randint(1, 3)
+            poly = term(rng.choice([-2, -1, 1, 3]), x=degree)
+            for power in range(degree):
+                if rng.random() < 0.6:
+                    for _ in range(2):
+                        poly = poly + term(rng.randint(-3, 3), x=power,
+                                           **{name: rng.randint(0, 1) for name in "abc"})
+            return poly
+
+        rng = random.Random(2004)
+        for _ in range(40):
+            p, q = random_in_x(rng), random_in_x(rng)
+            expected = sylvester(to_sympy(p), to_sympy(q), symbols[3]).det(method="berkowitz")
+            assert sympy.expand(to_sympy(sylvester_resultant(p, q, "x")) - expected) == 0
+
 
 class TestCoprimality:
     def test_passes_for_small_n(self):

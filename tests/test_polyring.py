@@ -261,15 +261,27 @@ class TestSerialization:
         with pytest.raises(StructuralError):
             MultiPoly.from_dict({"vars": ["a"], "terms": [{"exp": [1]}]})
 
-    @pytest.mark.parametrize("term", [
-        {"exp": ["1"], "coeff": "2"},     # once a TypeError from comparing "1" < 0
-        {"exp": [True], "coeff": "2"},    # once read as x^1 and written back as true
-        {"exp": [1], "coeff": 1.9},       # once truncated to 1
-        {"exp": [1], "coeff": True},      # once read as 1
-    ], ids=["string-exponent", "bool-exponent", "float-coeff", "bool-coeff"])
-    def test_malformed_term_rejected(self, term):
+    @pytest.mark.parametrize("terms", [
+        [{"exp": ["1"], "coeff": "2"}],   # once a TypeError from comparing "1" < 0
+        [{"exp": [True], "coeff": "2"}],  # once read as x^1 and written back as true
+        [{"exp": [1], "coeff": 1.9}],     # once truncated to 1
+        [{"exp": [1], "coeff": True}],    # once read as 1
+        # once loaded as 2 a, the last term silently winning
+        [{"exp": [1], "coeff": "1"}, {"exp": [1], "coeff": "2"}],
+        # int() spellings that are not a decimal string; once read as 1000, 7, 5 and 7
+        [{"exp": [1], "coeff": "1_000"}],
+        [{"exp": [1], "coeff": " 7 "}],
+        [{"exp": [1], "coeff": "+5"}],
+        [{"exp": [1], "coeff": "\u0667"}],
+        # refused all along; the decimal pattern must still ask for a digit
+        [{"exp": [1], "coeff": ""}],
+        [{"exp": [1], "coeff": "-"}],
+    ], ids=["string-exponent", "bool-exponent", "float-coeff", "bool-coeff",
+            "repeated-exponent", "underscore-coeff", "padded-coeff", "plus-coeff",
+            "arabic-indic-coeff", "empty-coeff", "bare-minus-coeff"])
+    def test_malformed_term_rejected(self, terms):
         with pytest.raises(StructuralError):
-            MultiPoly.from_dict({"vars": ["a"], "terms": [term]})
+            MultiPoly.from_dict({"vars": ["a"], "terms": terms})
 
     def test_rendering(self):
         p1 = poly(a=1, x=2) - poly(c=1)

@@ -205,6 +205,21 @@ class TestConjecture:
         for entry in report.per_n:
             assert entry["first_differing_word"] is None
 
+    def test_mismatch_names_the_polynomial_and_its_largest_word(self, monkeypatch):
+        honest = nc_closed
+
+        def perturbed(n, cap):
+            p, q = honest(n, cap)
+            if n == 1:       # P and Q both differ; P is named
+                return p + nc(2, b=1, x=1, y=1), q - nc(1, c=1, y=2)
+            return (p, q + nc(1, c=1, x=1, y=3)) if n == 2 else (p, q)
+        monkeypatch.setattr(qalgebra, "nc_closed", perturbed)
+        report = conjecture_check(2)
+        assert report.passed is False
+        assert [entry["match"] for entry in report.per_n] == [True, False, False]
+        assert [entry["first_differing_word"] for entry in report.per_n] == [
+            None, {"poly": "P", "x": 1, "y": 1}, {"poly": "Q", "x": 1, "y": 3}]
+
     def test_cap_refused_before_any_construction(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a pair before checking the cap")
