@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import closedform, newton, qalgebra, quadfield, smoothness
@@ -31,7 +33,74 @@ EXIT_CAP = 3
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The report layout, byte for byte ``json.dumps(obj, indent=2) + "\\n"``.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, so the
+    reports are written here instead: each container is one join of its
+    children's text.  Takes dicts with str keys, lists, tuples, str, int,
+    bool and None; anything else raises TypeError, and a container that holds
+    itself raises ValueError.
+    """
+    breaks = ["\n"]        # breaks[d]: a newline and the indent of depth d
+    prefixes = {}          # key -> its '"key": ' prefix
+    open_ids = set()       # ids of the containers being written
+
+    def write(value, depth: int) -> str:
+        is_dict = isinstance(value, dict)
+        if not (is_dict or isinstance(value, (list, tuple))):
+            if isinstance(value, str):
+                return _encode_str(value)
+            if value is None:
+                return "null"
+            if value is True:
+                return "true"
+            if value is False:
+                return "false"
+            if isinstance(value, int):
+                return int.__repr__(value)
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not value:
+            return "{}" if is_dict else "[]"
+        marker = id(value)
+        if marker in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(marker)
+        depth += 1
+        if depth == len(breaks):
+            breaks.append(breaks[-1] + "  ")
+        inner = breaks[depth]
+        parts = []
+        append = parts.append
+        # str and int children, most of a report, are written without a call.
+        if is_dict:
+            for key, item in value.items():
+                prefix = prefixes.get(key)
+                if prefix is None:
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    prefix = prefixes[key] = _encode_str(key) + ": "
+                kind = type(item)
+                if kind is str:
+                    append(prefix + _encode_str(item))
+                elif kind is int:
+                    append(prefix + int.__repr__(item))
+                else:
+                    append(prefix + write(item, depth))
+            text = "{" + inner + ("," + inner).join(parts) + breaks[depth - 1] + "}"
+        else:
+            for item in value:
+                kind = type(item)
+                if kind is str:
+                    append(_encode_str(item))
+                elif kind is int:
+                    append(int.__repr__(item))
+                else:
+                    append(write(item, depth))
+            text = "[" + inner + ("," + inner).join(parts) + breaks[depth - 1] + "]"
+        open_ids.discard(marker)
+        return text
+
+    return write(obj, 0) + "\n"
 
 
 def _write(path: str, text: str) -> None:
@@ -261,11 +330,20 @@ def _int_at_least(minimum: int):
     return parse
 
 
+# An integer, p/q, or a decimal with an optional exponent, in ASCII only:
+# Fraction alone would also take spaces, "_" (3.11+) and non-ASCII digits.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+"
+                       r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+
+
 def _rational(text: str) -> Fraction:
-    """argparse type: one exact rational, such as 3, -1/2 or 0.25."""
+    """argparse type: one exact rational, such as 3, -1/2, 0.25 or 1e3."""
+    if not _RATIONAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}: not an integer, p/q or decimal in ASCII digits")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from exc
 
 

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from newtonpoly import cli, closedform
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
@@ -162,9 +163,13 @@ class TestEval:
 
     # Every rational flag goes through the parser --samples uses, so a bad
     # value is one usage line, never a ZeroDivisionError traceback.
+    # Fraction alone takes each of the last six on at least one supported
+    # Python; the grammar is ASCII with no spaces or separators on all.
     @pytest.mark.parametrize("flag, value", [
         ("x", "1/0"), ("a", "1/0"), ("b", "1/0"), ("c", "1/0"), ("x", "abc"),
-    ], ids=lambda v: v)
+        ("x", "1_0"), ("a", "\u0663"), ("x", "\uff13/4"), ("b", " 3"), ("c", "3 "),
+        ("x", "1 / 2"),
+    ], ids=lambda v: v.encode("ascii", "backslashreplace").decode())
     def test_bad_rational_is_usage_error(self, flag, value):
         given = {"a": "1", "b": "0", "c": "-1", "x": "2", flag: value}
         result = run_cli("eval", "--n", "1", *(f"--{name}={v}" for name, v in given.items()))
@@ -173,6 +178,13 @@ class TestEval:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("text, value", [
+        ("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("0.25", Fraction(1, 4)),
+        ("1e3", Fraction(1000)), (HUGE_SAMPLE, Fraction(10**301 + 1, 7)),
+    ], ids=["3", "-1/2", "0.25", "1e3", "HUGE_SAMPLE"])
+    def test_rational_grammar_accepts(self, text, value):
+        assert cli._rational(text) == value
 
 
 class TestVerify:
@@ -306,6 +318,76 @@ class TestVerify:
         report = json.loads(result.stdout)
         assert report["rootform_max_n"] == checked
         assert {entry["n"] for entry in report["rootform"]} == set(range(checked + 1))
+
+
+# Every report the package writes, at small n: its bytes must be the layout
+# json.dumps(indent=2) gives, since only some reports have a golden.  eval
+# prints a bare rational, which is JSON when it is an integer, as here.
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--n", "2", "--method", "recurrence"], 0),
+    (["generate", "--n", "2", "--method", "closed"], 0),
+    (["generate", "--n", "2", "--method", "rootform", "--a", "2", "--b", "1", "--c=-3"], 0),
+    (["eval", "--n", "2", "--a", "1", "--b", "0", "--c=-1", "--x", "1"], 0),
+    (["verify", "equivalence", "--max-n", "2", "--rootform-max-n", "1"], 0),
+    (["verify", "smoothness", "--n", "2"], 0),
+    (["verify", "smoothness", "--n", "1", "--mode", "strict"], 1),
+    (["verify", "lemma1", "--max-n", "4"], 0),
+    (["verify", "coprime", "--max-n", "2", "--trials", "2"], 0),
+    (["verify", "conjugacy", "--max-n", "1", "--min-checked", "1"], 0),
+    (["verify", "qconjecture", "--max-n", "1", "--commutative-max-n", "1"], 0),
+    (["verify", "qbinom", "--max-n", "2", "--product-max-n", "2", "--symmetry-max-n", "2"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_output_has_the_standard_layout(capsys, argv, code):
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# Lone surrogates, control characters, quotes and backslashes, with any
+# other code point, as strings and as keys.
+JSON_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\udfff\xe9\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT
+    | st.integers(10**999, 10**1000) | st.integers(-10**1000, -10**999),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children)),
+    max_leaves=40)
+
+
+class TestCanonicalJson:
+    """canonical_json against the layout it reproduces, json.dumps(indent=2)."""
+
+    @staticmethod
+    def reference(obj) -> str:
+        return json.dumps(obj, indent=2) + "\n"
+
+    @given(JSON_VALUES)
+    @example([])
+    @example({})
+    @example([[], {}, [[{}]], {"a": {"b": [[]], "c": {}}}, ()])
+    @example({"": [True, False, None, 0, -1]})
+    def test_matches_json_dumps(self, obj):
+        assert cli.canonical_json(obj) == self.reference(obj)
+
+    @given(JSON_VALUES)
+    def test_shared_subobject(self, value):
+        shared = [value, {"k": value}]
+        obj = {"left": shared, "right": [shared, (shared,)]}
+        assert cli.canonical_json(obj) == self.reference(obj)
+
+    def test_cycle_is_value_error(self):
+        looped = [1]
+        looped.append({"back": looped})
+        with pytest.raises(ValueError, match="Circular reference"):
+            cli.canonical_json({"top": looped})
+
+    @pytest.mark.parametrize("obj", [0.5, [1, 2.0], {"a": {"b": 1e3}}, {1: "a"},
+                                     {"a": [{(1,): 2}]}, {"a": {1, 2}}, Fraction(1, 2)],
+                             ids=repr)
+    def test_unsupported_type_is_type_error(self, obj):
+        with pytest.raises(TypeError):
+            cli.canonical_json(obj)
 
 
 @contextlib.contextmanager
