@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import closedform, newton, qalgebra, quadfield, smoothness
-from .errors import DomainError, ResourceCapError, StructuralError
+from .errors import DomainError, ResourceCapError, StructuralError, check_index
 from .newton import DEFAULT_CAP, NewtonPair, QuadraticCoeffs
 
 # Reference coefficient triples used by the equivalence and conjugacy suites.
@@ -257,11 +257,14 @@ _COMMUTATIVE = {"q": 1, "y": 1}
 
 
 def _suite_qconjecture(args) -> tuple[bool, dict]:
-    result = qalgebra.conjecture_check(args.max_n, cap=args.cap)
+    for n in (args.max_n, args.commutative_max_n):
+        check_index(n, args.cap)
+    # One ascending walk builds each noncommutative pair once, for both checks.
+    walk = list(islice(qalgebra.nc_iterates(), max(args.max_n, args.commutative_max_n) + 1))
+    result = qalgebra.conjecture_check(args.max_n, cap=args.cap, recurrence=walk)
     commutative = []
     commutative_ok = True
-    for n in range(args.commutative_max_n + 1):
-        nc_p, nc_q = qalgebra.nc_iterate(n, cap=args.cap)
+    for n, (nc_p, nc_q) in enumerate(walk[:args.commutative_max_n + 1]):
         pair = newton.iterate_pair(n)
         match = (nc_p.substitute(_COMMUTATIVE) == pair.p
                  and nc_q.substitute(_COMMUTATIVE) == pair.q)
@@ -333,14 +336,25 @@ def _int_at_least(minimum: int):
 # An integer, p/q, or a decimal with an optional exponent, in ASCII only:
 # Fraction alone would also take spaces, "_" (3.11+) and non-ASCII digits.
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+"
-                       r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+                       r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?P<exp>[+-]?[0-9]+))?)")
+
+# Fraction turns a decimal exponent into an exact power of ten, so the
+# 8-character value 1e300000 is a million-bit number that eval would iterate
+# on for seconds.  4300 is CPython's default int/str digit limit, past which
+# it refuses to convert a decimal integer of that many digits for the same
+# reason.
+MAX_DECIMAL_EXPONENT = 4300
 
 
 def _rational(text: str) -> Fraction:
     """argparse type: one exact rational, such as 3, -1/2, 0.25 or 1e3."""
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise argparse.ArgumentTypeError(
             f"bad value {text!r}: not an integer, p/q or decimal in ASCII digits")
+    if match["exp"] and abs(int(match["exp"])) > MAX_DECIMAL_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:

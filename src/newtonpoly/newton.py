@@ -22,7 +22,13 @@ after the last step.  The recurrence never consults the closed form.
 Relative primality of the pair is certified two ways, each in a named ring:
 
 * the Sylvester resultant Res_x(P_n, Q_n), exact over Z[a,b,c] and nonzero
-  as a polynomial, for n <= EXACT_RESULTANT_MAX_N = 3;
+  as a polynomial, for n <= EXACT_RESULTANT_MAX_N = 3.  It is one Sylvester
+  determinant over Z, taken by Bareiss elimination at a = b = 1, c = 2^w:
+  the two gradings above make every term of the resultant have the same
+  total degree and the same weight j + 2k, so its c exponent k names it, and
+  w is chosen from a proven bound on the coefficients (||P||_1^deg Q times
+  ||Q||_1^deg P), so the signed base-2^w digits of the determinant are
+  exactly the coefficients;
 * for every n, seeded integer specializations of (a, b, c), each followed by
   Euclid on the two polynomials in x over GF(p), p = GCD_PRIME = 2^61 - 1.
 
@@ -39,12 +45,13 @@ probe degrees are those over Q.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, StructuralError, check_index
-from .polyring import ABCX, MultiPoly, VariableSet, divexact
+from .polyring import ABCX, MultiPoly, divexact
 
 DEFAULT_CAP = 8
 EXACT_RESULTANT_MAX_N = 3
@@ -232,32 +239,43 @@ def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> 
 
 # ---------------------------------------------------------------- resultants
 
-def _bareiss_determinant(matrix: list[list[MultiPoly]], varset: VariableSet) -> MultiPoly:
-    """Fraction-free determinant over Z[a,b,c]; divisions are exact by construction."""
+def _bareiss_determinant(matrix: list[list], one, divide):
+    """Fraction-free determinant over an integral domain (Bareiss, 1968).
+
+    ``one`` is the ring's unit and ``divide`` its exact division: ``//`` for
+    int entries, ``divexact`` for MultiPoly entries.  Sylvester's identity
+    makes every division exact.
+    """
     size = len(matrix)
     if size == 0:
-        return MultiPoly.one(varset)
+        return one
     m = [row[:] for row in matrix]
     sign = 1
-    previous_pivot = MultiPoly.one(varset)
+    previous_pivot = one
     for k in range(size - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, size):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return MultiPoly.zero(varset)
+                return m[k][k]          # column k is zero from the diagonal down: the det's zero
         pivot = m[k][k]
         for i in range(k + 1, size):
             row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, size):
-                row_i[j] = divexact(row_i[j] * pivot - head * m[k][j], previous_pivot)
-            row_i[k] = MultiPoly.zero(varset)
+                row_i[j] = divide(row_i[j] * pivot - head * m[k][j], previous_pivot)
         previous_pivot = pivot
     return m[size - 1][size - 1] * sign
+
+
+def _sylvester_matrix(p_coeffs: list, q_coeffs: list, zero) -> list[list]:
+    """Sylvester matrix of two coefficient lists given leading coefficient first."""
+    deg_p, deg_q = len(p_coeffs) - 1, len(q_coeffs) - 1
+    return ([[zero] * i + p_coeffs + [zero] * (deg_q - 1 - i) for i in range(deg_q)]
+            + [[zero] * i + q_coeffs + [zero] * (deg_p - 1 - i) for i in range(deg_p)])
 
 
 def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str = "x") -> MultiPoly:
@@ -266,16 +284,51 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str = "x") -> MultiPoly
         raise ValueError("resultant of a zero polynomial is not defined here")
     p_coeffs = list(reversed(p.coefficients_in(var)))   # leading first
     q_coeffs = list(reversed(q.coefficients_in(var)))
-    deg_p, deg_q = len(p_coeffs) - 1, len(q_coeffs) - 1
-    size = deg_p + deg_q
-    varset = p.varset
-    zero = MultiPoly.zero(varset)
-    rows: list[list[MultiPoly]] = []
-    for i in range(deg_q):
-        rows.append([zero] * i + p_coeffs + [zero] * (size - deg_p - 1 - i))
-    for i in range(deg_p):
-        rows.append([zero] * i + q_coeffs + [zero] * (size - deg_q - 1 - i))
-    return _bareiss_determinant(rows, varset)
+    rows = _sylvester_matrix(p_coeffs, q_coeffs, MultiPoly.zero(p.varset))
+    return _bareiss_determinant(rows, MultiPoly.one(p.varset), divexact)
+
+
+def _grid_resultant(pair: NewtonPair) -> MultiPoly:
+    """Res_x(P_n, Q_n) over Z[a,b,c], as one Sylvester determinant over Z.
+
+    Give b weight 1 and c weight 2.  With N = 2^n, the x^e coefficient has
+    weight N - e in P_n and N - 1 - e in Q_n, so the Sylvester entry in row
+    r of its block and column col has weight col - r, and every term of the
+    determinant has total degree T = (2N - 1)(N - 1) and weight
+    W = sum(col) - sum(r) = N(N - 1).  Its c exponent k names it:
+    j = W - 2k and i = T - j - k.  Each entry is packed at a = b = 1,
+    c = 2^width; evaluation is a ring homomorphism, so the integer
+    determinant is the resultant at that point, and its signed base-2^width
+    digits are the coefficients.  Their absolute values sum to at most the
+    permanent of the entries' l1 norms, at most ||P||_1^(N-1) ||Q||_1^N, so
+    width = bitlen(that) + 2 keeps each digit in [-2^(width-1), 2^(width-1)).
+    """
+    size = 2 ** pair.n
+    for name, poly, weight in (("P", pair.p, size), ("Q", pair.q, size - 1)):
+        for i, j, k, e in poly._terms:
+            if i + j + k != size - 1 or j + 2 * k + e != weight:
+                raise StructuralError(
+                    f"{name}_{pair.n} has the term a^{i} b^{j} c^{k} x^{e}, off the grid "
+                    f"i + j + k = {size - 1}, j + 2k + e = {weight}")
+    bound = (sum(map(abs, pair.p._terms.values())) ** (size - 1)
+             * sum(map(abs, pair.q._terms.values())) ** size)
+    width = bound.bit_length() + 2
+
+    def packed(poly: MultiPoly, degree: int) -> list[int]:     # leading x-coefficient first
+        entries = [0] * (degree + 1)
+        for (_, _, k, e), coeff in poly._terms.items():
+            entries[degree - e] += coeff << (width * k)
+        return entries
+
+    rows = _sylvester_matrix(packed(pair.p, size), packed(pair.q, size - 1), 0)
+    value = _bareiss_determinant(rows, 1, operator.floordiv)
+    total, weight = (2 * size - 1) * (size - 1), size * (size - 1)
+    slots = weight // 2 + 1             # k <= W/2, since j >= 0
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    # Adding half to every slot makes each digit a nonnegative, carry-free field.
+    biased = value + half * ((1 << (width * slots)) - 1) // mask
+    digits = [(biased >> (width * k) & mask) - half for k in range(slots)]
+    return _lift(digits, 1, total, weight)      # a grid of one x^0 cell per power of c
 
 
 # ---------------------------------------------------------------- specialization GCD
@@ -385,7 +438,7 @@ def coprimality_check(pair: NewtonPair, trials: int = 10, seed: int = 42) -> Cop
     resultant = None
     resultant_nonzero = None
     if pair.n <= EXACT_RESULTANT_MAX_N:
-        resultant = sylvester_resultant(pair.p, pair.q, "x")
+        resultant = _grid_resultant(pair)
         resultant_nonzero = not resultant.is_zero
         method = "exact-resultant"
     else:

@@ -21,17 +21,18 @@ The noncommutative pair (P'_n, Q'_n) is grown by the recurrence
     P'_{n+1} = a P'^2 - c Q'^2
     Q'_{n+1} = a P' Q' + a Q' P' + b Q'^2      (P'_0, Q'_0) = (x, y)
 
-and compared against the conjectured closed forms, which are the commutative
-double sums of closedform with the outer binomial q-deformed and a trailing
-y^(2^n - k).  Substituting q = 1, y = 1 collapses everything back to the
-commutative pair over (a, b, c, x).
+walked once in ascending n by nc_iterates(), and compared against the
+conjectured closed forms, which are the commutative double sums of
+closedform with the outer binomial q-deformed and a trailing y^(2^n - k).
+Substituting q = 1, y = 1 collapses everything back to the commutative pair
+over (a, b, c, x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .closedform import IdentityCheckReport, p_contributions, q_contributions
 from .errors import check_index
@@ -115,14 +116,19 @@ def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
     return IdentityCheckReport("q-binomial theorem", max_n, True)
 
 
+def nc_iterates() -> Iterator[tuple[MultiPoly, MultiPoly]]:
+    """(P'_0, Q'_0), (P'_1, Q'_1), ... by the noncommutative recurrence."""
+    p, q = _X, _Y
+    while True:
+        yield p, q
+        qq = nc_mul(q, q)
+        p, q = _A * nc_mul(p, p) - _C * qq, _A * (nc_mul(p, q) + nc_mul(q, p)) + _B * qq
+
+
 def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
     """(P'_n, Q'_n) by the noncommutative recurrence; homogeneous of degree 2^n in x, y."""
     check_index(n, cap)
-    p, q = _X, _Y
-    for _ in range(n):
-        qq = nc_mul(q, q)
-        p, q = _A * nc_mul(p, p) - _C * qq, _A * (nc_mul(p, q) + nc_mul(q, p)) + _B * qq
-    return p, q
+    return next(islice(nc_iterates(), n, None))
 
 
 def _nc_sum(n: int, contributions) -> MultiPoly:
@@ -162,13 +168,21 @@ def _first_differing_word(left: MultiPoly, right: MultiPoly) -> Word | None:
     return max(words, key=lambda w: (w[0] + w[1], w[0]), default=None)
 
 
-def conjecture_check(max_n: int, cap: int = DEFAULT_NC_CAP) -> QConjectureReport:
-    """Compare nc_iterate(n) with nc_closed(n) for 0 <= n <= max_n."""
+def conjecture_check(max_n: int, cap: int = DEFAULT_NC_CAP,
+                     recurrence: Iterable[tuple[MultiPoly, MultiPoly]] | None = None,
+                     ) -> QConjectureReport:
+    """Compare (P'_n, Q'_n) with nc_closed(n) for 0 <= n <= max_n.
+
+    ``recurrence`` yields the recurrence pairs from n = 0 up; by default a
+    fresh ``nc_iterates()`` walk builds them.
+    """
     check_index(max_n, cap)
+    if recurrence is None:
+        recurrence = nc_iterates()
     per_n: list[dict] = []
-    for n in range(max_n + 1):
+    for n, pair in zip(range(max_n + 1), recurrence):
         word = None
-        for poly, rec, closed in zip("PQ", nc_iterate(n, cap=cap), nc_closed(n, cap=cap)):
+        for poly, rec, closed in zip("PQ", pair, nc_closed(n, cap=cap)):
             if rec != closed:
                 x, y = _first_differing_word(rec, closed)
                 word = {"poly": poly, "x": x, "y": y}

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from newtonpoly import cli, closedform
+from newtonpoly import cli, closedform, qalgebra
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import MultiPoly
 
@@ -163,12 +163,13 @@ class TestEval:
 
     # Every rational flag goes through the parser --samples uses, so a bad
     # value is one usage line, never a ZeroDivisionError traceback.
-    # Fraction alone takes each of the last six on at least one supported
-    # Python; the grammar is ASCII with no spaces or separators on all.
+    # Fraction alone takes each of the six from "1_0" on at least one supported
+    # Python; the grammar is ASCII with no spaces or separators on all.  The
+    # last two are refused before Fraction would spend seconds expanding them.
     @pytest.mark.parametrize("flag, value", [
         ("x", "1/0"), ("a", "1/0"), ("b", "1/0"), ("c", "1/0"), ("x", "abc"),
         ("x", "1_0"), ("a", "\u0663"), ("x", "\uff13/4"), ("b", " 3"), ("c", "3 "),
-        ("x", "1 / 2"),
+        ("x", "1 / 2"), ("x", "1e300000"), ("x", "1e-300000"),
     ], ids=lambda v: v.encode("ascii", "backslashreplace").decode())
     def test_bad_rational_is_usage_error(self, flag, value):
         given = {"a": "1", "b": "0", "c": "-1", "x": "2", flag: value}
@@ -181,8 +182,9 @@ class TestEval:
 
     @pytest.mark.parametrize("text, value", [
         ("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("0.25", Fraction(1, 4)),
-        ("1e3", Fraction(1000)), (HUGE_SAMPLE, Fraction(10**301 + 1, 7)),
-    ], ids=["3", "-1/2", "0.25", "1e3", "HUGE_SAMPLE"])
+        ("1e3", Fraction(1000)), ("1e4300", Fraction(10**4300)),
+        (HUGE_SAMPLE, Fraction(10**301 + 1, 7)),
+    ], ids=["3", "-1/2", "0.25", "1e3", "1e4300", "HUGE_SAMPLE"])
     def test_rational_grammar_accepts(self, text, value):
         assert cli._rational(text) == value
 
@@ -303,6 +305,18 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert sorted(calls) == sorted((name, n, 6) for name in ("closed_p", "closed_q")
                                        for n in range(6))
+
+    def test_qconjecture_builds_each_pair_once(self, monkeypatch, capsys):
+        # One recurrence step is four nc_mul calls; --commutative-max-n 3 needs
+        # the pairs n = 0..3, so three steps, shared with the conjecture check.
+        calls = []
+        original = qalgebra.nc_mul
+        monkeypatch.setattr(qalgebra, "nc_mul",
+                            lambda left, right: calls.append(1) or original(left, right))
+        argv = ["verify", "qconjecture", "--max-n", "2", "--commutative-max-n", "3"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(calls) == 4 * 3
 
     def test_rootform_range_may_be_empty(self):
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")

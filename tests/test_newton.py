@@ -239,6 +239,25 @@ class TestResultant:
             assert sylvester_resultant(pair.p, pair.q, "x") == \
                 a ** (2 * e - 2 ** n + 1) * disc ** e
 
+    # coprimality_check takes the resultant on the packed (c, x) grid; it must
+    # equal the generic Bareiss determinant over Z[a,b,c].  n = 3 has
+    # coefficients of both signs, so the signed digits are read back too.
+    @pytest.mark.parametrize("route", ["recurrence", "closed"])
+    @pytest.mark.parametrize("n", range(4))
+    def test_grid_resultant_matches_sylvester(self, n, route):
+        pair = iterate_pair(n) if route == "recurrence" else NewtonPair(n, closed_p(n), closed_q(n))
+        report = coprimality_check(pair, trials=1, seed=0)
+        assert report.method == "exact-resultant"
+        assert report.resultant == sylvester_resultant(pair.p, pair.q, "x")
+
+    def test_grid_resultant_refuses_a_term_off_the_grid(self):
+        # b x^0 keeps deg_x and the leading coefficient of P_2, so the pair is
+        # built, but its a, b, c degree is 1, not 3: it would share a grid slot.
+        pair = iterate_pair(2)
+        stray = NewtonPair(2, pair.p + term(1, b=1), pair.q)
+        with pytest.raises(StructuralError, match=r"P_2 has the term a\^0 b\^1 c\^0 x\^0"):
+            coprimality_check(stray, trials=1, seed=0)
+
     def test_resultant_detects_common_factor(self):
         x = MultiPoly.variable(ABCX, "x")
         b = MultiPoly.variable(ABCX, "b")

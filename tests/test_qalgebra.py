@@ -223,7 +223,7 @@ class TestConjecture:
     def test_cap_refused_before_any_construction(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a pair before checking the cap")
-        monkeypatch.setattr(qalgebra, "nc_iterate", unreachable)
+        monkeypatch.setattr(qalgebra, "nc_iterates", unreachable)
         monkeypatch.setattr(qalgebra, "qbinomial_rows", unreachable)
         with pytest.raises(ResourceCapError, match="n = 7 exceeds the cap 4"):
             conjecture_check(7)
