@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, StructuralError, check_index
+from .packing import pack, slot_size, unpack
 from .polyring import ABCX, MultiPoly, divexact
 
 DEFAULT_CAP = 8
@@ -144,53 +145,22 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
 #
 # A grid is a flat list of integers, row k (the c exponent) after row k - 1,
 # `width` cells per row, cell e holding the coefficient of x^e.  Its Kronecker
-# image puts cell (k, e) in slot k * stride + e of an integer, each slot
-# `size` bytes wide.  The stride must exceed every x exponent of a product.
-# One slot encoding serves both directions: a slot holds its value plus the
-# bias 2^(8 size - 1), which makes every slot in [-2^(8 size - 1),
-# 2^(8 size - 1)) a nonnegative, carry-free run of bytes, and the packed bias
-# (_bias) is subtracted after packing and added back before unpacking.
-
-
-def _bias(slots: int, size: int) -> int:
-    """2^(8 size - 1) in each of ``slots`` slots of ``size`` bytes."""
-    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-
-
-def _pack(cells: list[int], width: int, stride: int, size: int) -> int:
-    """Kronecker image of a signed grid: biased slots, one buffer, less the packed bias."""
-    half = 1 << (8 * size - 1)
-    pad = half.to_bytes(size, "little") * (stride - width)
-    biased = bytearray()
-    for start in range(0, len(cells), width):
-        for coeff in cells[start:start + width]:
-            biased += (coeff + half).to_bytes(size, "little")
-        biased += pad
-    return int.from_bytes(biased, "little") - _bias(len(cells) // width * stride, size)
-
-
-def _unpack(value: int, slots: int, size: int) -> list[int]:
-    """Inverse of ``_pack`` for slot values in [-2^(8 size - 1), 2^(8 size - 1))."""
-    half = 1 << (8 * size - 1)
-    raw = memoryview((value + _bias(slots, size)).to_bytes(slots * size, "little"))
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, slots * size, size)]
+# image (packing.pack) puts cell (k, e) in slot k * stride + e of an integer.
+# The stride must exceed every x exponent of a product.
 
 
 def _step(p: list[int], q: list[int], width: int) -> tuple[list[int], list[int], int]:
     """One recurrence step on the (c, x) grids; returns (P', Q', width')."""
     stride = 2 * width - 1               # x-degree of a product, plus one
-    # A slot of P' or Q' sums at most 3 * terms products of two coefficients,
-    # so this many bits (one for the sign) can never overflow.
+    # A slot of P' or Q' sums at most 3 * terms products of two coefficients.
     terms = max(sum(1 for v in p if v), sum(1 for v in q if v))
-    bits = 2 * max(map(int.bit_length, p + q)) + terms.bit_length() + 3
-    size = (bits + 7) // 8
-    packed_p, packed_q = _pack(p, width, stride, size), _pack(q, width, stride, size)
+    size = slot_size(max(map(int.bit_length, p + q)), terms)
+    packed_p, packed_q = pack(p, width, stride, size), pack(q, width, stride, size)
     p_sq, q_sq, pq = packed_p * packed_p, packed_q * packed_q, packed_p * packed_q
     p_rows, q_rows = len(p) // width, len(q) // width
-    new_p = _unpack(p_sq - (q_sq << (8 * size * stride)),
-                    max(2 * p_rows - 1, 2 * q_rows) * stride, size)
-    new_q = _unpack((pq << 1) + q_sq, max(p_rows + q_rows - 1, 2 * q_rows - 1) * stride, size)
+    new_p = unpack(p_sq - (q_sq << (8 * size * stride)),
+                   max(2 * p_rows - 1, 2 * q_rows) * stride, size)
+    new_q = unpack((pq << 1) + q_sq, max(p_rows + q_rows - 1, 2 * q_rows - 1) * stride, size)
     return new_p, new_q, stride
 
 

@@ -1,0 +1,52 @@
+"""Kronecker slot encoding shared by the packed recurrences.
+
+A grid is a flat list of integers, `width` cells per row.  Its Kronecker
+image puts cell (r, t) in slot r * stride + t of one integer, each slot
+`size` bytes wide, so a product of two images is the image of the grids'
+two-dimensional convolution as long as the stride exceeds every column
+index of the product.  One slot encoding serves both directions: a slot
+holds its value plus the bias 2^(8 size - 1), which makes every slot in
+[-2^(8 size - 1), 2^(8 size - 1)) a nonnegative, carry-free run of bytes,
+and the packed bias (``bias``) is subtracted after packing and added back
+before unpacking.
+
+``newton`` packs the (c, x) grids of the commutative pair and ``qalgebra``
+the (c, q) slices of the noncommutative one; both size their slots by
+``slot_size``.
+"""
+
+from __future__ import annotations
+
+
+def slot_size(max_bits: int, terms: int) -> int:
+    """Bytes per slot for a sum of at most 3 * terms products of two coefficients.
+
+    Each coefficient is below 2^max_bits in absolute value, so the sum is
+    below 2^(2 max_bits + bitlen(terms) + 2); one more bit holds the sign.
+    """
+    return (2 * max_bits + terms.bit_length() + 3 + 7) // 8
+
+
+def bias(slots: int, size: int) -> int:
+    """2^(8 size - 1) in each of ``slots`` slots of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+def pack(cells: list[int], width: int, stride: int, size: int) -> int:
+    """Kronecker image of a signed grid: biased slots, one buffer, less the packed bias."""
+    half = 1 << (8 * size - 1)
+    pad = half.to_bytes(size, "little") * (stride - width)
+    biased = bytearray()
+    for start in range(0, len(cells), width):
+        for coeff in cells[start:start + width]:
+            biased += (coeff + half).to_bytes(size, "little")
+        biased += pad
+    return int.from_bytes(biased, "little") - bias(len(cells) // width * stride, size)
+
+
+def unpack(value: int, slots: int, size: int) -> list[int]:
+    """Inverse of ``pack`` for slot values in [-2^(8 size - 1), 2^(8 size - 1))."""
+    half = 1 << (8 * size - 1)
+    raw = memoryview((value + bias(slots, size)).to_bytes(slots * size, "little"))
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, slots * size, size)]

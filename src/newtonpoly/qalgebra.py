@@ -26,16 +26,28 @@ conjectured closed forms, which are the commutative double sums of
 closedform with the outer binomial q-deformed and a trailing y^(2^n - k).
 Substituting q = 1, y = 1 collapses everything back to the commutative pair
 over (a, b, c, x).
+
+nc_iterates() never calls nc_mul, which stays the reference product.  With
+N = 2^n every word a^i b^j c^k q^s x^e y^(N-e) of P'_n has i + j + k = N - 1
+and j + 2k + e = N (N - 1 in Q'_n), so (k, e, s) names it.  For each e the
+(k, s) grid is one slice, packed into one integer (packing.pack, row k at
+slot k * stride).  Words multiply by the twist (Kassel, Quantum Groups, IV)
+
+    (x^e1 y^(N-e1)) (x^e2 y^(N-e2)) = q^((N-e1) e2) x^(e1+e2) y^(2N-e1-e2)
+
+so slice e1 times slice e2 is one big-integer product shifted (N - e1) e2
+q-slots into slice e1 + e2; a and b are implied and c shifts one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, islice
 from typing import Iterable, Iterator
 
 from .closedform import IdentityCheckReport, p_contributions, q_contributions
-from .errors import check_index
+from .errors import StructuralError, check_index
+from .packing import pack, slot_size, unpack
 from .polyring import ABCQ, ABCQXY, MultiPoly, nc_mul
 
 DEFAULT_NC_CAP = 4
@@ -94,9 +106,6 @@ def qbinomial_product_value(n: int, k: int, q_value: int) -> int:
 _ONE = MultiPoly.one(ABCQXY)
 _X = MultiPoly.variable(ABCQXY, "x")
 _Y = MultiPoly.variable(ABCQXY, "y")
-_A = MultiPoly.variable(ABCQXY, "a")
-_B = MultiPoly.variable(ABCQXY, "b")
-_C = MultiPoly.variable(ABCQXY, "c")
 _X_INDEX = ABCQXY.index("x")
 _Y_INDEX = ABCQXY.index("y")
 
@@ -116,13 +125,91 @@ def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
     return IdentityCheckReport("q-binomial theorem", max_n, True)
 
 
+# ---------------------------------------------------------------- packed recurrence
+
+# Slice e of a polynomial: its cells, `width` = q-degree + 1 per row, up to
+# the last nonzero row; a zero slice is ([], 1).
+Slices = list[tuple[list[int], int]]
+
+
+def _trim(cells: list[int], stride: int) -> tuple[list[int], int]:
+    """The nonzero rows of a slice laid out ``stride`` cells per row, cut to its q-degree."""
+    nonzero = list(compress(range(len(cells)), cells))
+    if not nonzero:
+        return [], 1
+    width = 1 + max(index % stride for index in nonzero)
+    rows = range(0, (nonzero[-1] // stride + 1) * stride, stride)
+    return list(chain.from_iterable(cells[start:start + width] for start in rows)), width
+
+
+def _twisted(left: list[int], right: list[int], size: int, slot_bits: int) -> list[int]:
+    """Packed slices of L R + R L, or of L^2 when right is left, for x-degree ``size``.
+
+    The product of slices e1 and e2 serves both orders: twisted by
+    (size - e1) e2 in L R and by (size - e2) e1 in R L.  A square takes each
+    unordered pair once.
+    """
+    square = right is left
+    out = [0] * (2 * size + 1)
+    for e1, packed_l in enumerate(left):
+        for e2 in range(e1 if square else 0, size + 1):
+            product = packed_l * right[e2]
+            if product:
+                twisted = product << (slot_bits * (size - e1) * e2)
+                if e1 != e2 or not square:
+                    twisted += product << (slot_bits * (size - e2) * e1)
+                out[e1 + e2] += twisted
+    return out
+
+
+def _nc_step(p: Slices, q: Slices, size: int) -> tuple[Slices, Slices]:
+    """One recurrence step on the slices of (P', Q'), each of x-degree ``size``.
+
+    The stride exceeds every q exponent of a product; a slot of P' or Q'
+    sums at most 3 * terms products of two coefficients, as in newton._step.
+    """
+    stride = 1 + max(width_l + width_r - 2 + (size - e1) * e2
+                     for left, right in ((p, p), (q, q), (p, q), (q, p))
+                     for e1, (cells_l, width_l) in enumerate(left) if cells_l
+                     for e2, (cells_r, width_r) in enumerate(right) if cells_r)
+    terms = max(sum(len(cells) - cells.count(0) for cells, _ in poly) for poly in (p, q))
+    slot = slot_size(max(max(map(int.bit_length, cells), default=0) for cells, _ in p + q), terms)
+    packed_p, packed_q = ([pack(cells, width, stride, slot) for cells, width in poly]
+                          for poly in (p, q))
+    slot_bits = 8 * slot
+    pp, qq, pq_qp = (_twisted(left, right, size, slot_bits)
+                     for left, right in ((packed_p, packed_p), (packed_q, packed_q),
+                                         (packed_p, packed_q)))
+    new_p = [v - (w << (slot_bits * stride)) for v, w in zip(pp, qq)]
+    new_q = [v + w for v, w in zip(pq_qp, qq)]
+    return (_unpack_slices(new_p, 2 * size, stride, slot),
+            _unpack_slices(new_q, 2 * size - 1, stride, slot))
+
+
+def _unpack_slices(values: list[int], weight: int, stride: int, slot: int) -> Slices:
+    # b's exponent j = weight - 2k - e is nonnegative, so slice e has (weight - e) // 2 + 1 rows.
+    return [_trim(unpack(value, ((weight - e) // 2 + 1) * stride, slot), stride)
+            for e, value in enumerate(values)]
+
+
+def _nc_lift(slices: Slices, size: int, weight: int) -> MultiPoly:
+    """Slices to polynomial: i + j + k = size - 1 and j + 2k + e = weight fix i and j."""
+    terms = {}
+    for e, (cells, width) in enumerate(slices):
+        for index in compress(range(len(cells)), cells):
+            k, s = divmod(index, width)
+            j = weight - 2 * k - e
+            terms[(size - 1 - j - k, j, k, s, e, size - e)] = cells[index]
+    return MultiPoly._raw(ABCQXY, terms)
+
+
 def nc_iterates() -> Iterator[tuple[MultiPoly, MultiPoly]]:
-    """(P'_0, Q'_0), (P'_1, Q'_1), ... by the noncommutative recurrence."""
-    p, q = _X, _Y
+    """(P'_0, Q'_0), (P'_1, Q'_1), ... by the noncommutative recurrence, on packed slices."""
+    p, q, size = [([], 1), ([1], 1)], [([1], 1), ([], 1)], 1       # P'_0 = x, Q'_0 = y
     while True:
-        yield p, q
-        qq = nc_mul(q, q)
-        p, q = _A * nc_mul(p, p) - _C * qq, _A * (nc_mul(p, q) + nc_mul(q, p)) + _B * qq
+        yield _nc_lift(p, size, size), _nc_lift(q, size, size - 1)
+        p, q = _nc_step(p, q, size)
+        size *= 2
 
 
 def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
@@ -174,13 +261,14 @@ def conjecture_check(max_n: int, cap: int = DEFAULT_NC_CAP,
     """Compare (P'_n, Q'_n) with nc_closed(n) for 0 <= n <= max_n.
 
     ``recurrence`` yields the recurrence pairs from n = 0 up; by default a
-    fresh ``nc_iterates()`` walk builds them.
+    fresh ``nc_iterates()`` walk builds them.  A walk that ends before
+    max_n raises StructuralError rather than report the n it never reached.
     """
     check_index(max_n, cap)
     if recurrence is None:
         recurrence = nc_iterates()
     per_n: list[dict] = []
-    for n, pair in zip(range(max_n + 1), recurrence):
+    for n, pair in enumerate(islice(recurrence, max_n + 1)):
         word = None
         for poly, rec, closed in zip("PQ", pair, nc_closed(n, cap=cap)):
             if rec != closed:
@@ -188,5 +276,8 @@ def conjecture_check(max_n: int, cap: int = DEFAULT_NC_CAP,
                 word = {"poly": poly, "x": x, "y": y}
                 break
         per_n.append({"n": n, "match": word is None, "first_differing_word": word})
+    if len(per_n) <= max_n:
+        raise StructuralError(f"the recurrence walk yielded {len(per_n)} pairs, "
+                              f"not the {max_n + 1} of n = 0..{max_n}")
     return QConjectureReport(max_n=max_n, per_n=tuple(per_n),
                              passed=all(entry["match"] for entry in per_n))

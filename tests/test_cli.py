@@ -307,16 +307,16 @@ class TestVerify:
                                        for n in range(6))
 
     def test_qconjecture_builds_each_pair_once(self, monkeypatch, capsys):
-        # One recurrence step is four nc_mul calls; --commutative-max-n 3 needs
-        # the pairs n = 0..3, so three steps, shared with the conjecture check.
+        # --commutative-max-n 3 needs the pairs n = 0..3, so three packed
+        # recurrence steps, shared with the conjecture check.
         calls = []
-        original = qalgebra.nc_mul
-        monkeypatch.setattr(qalgebra, "nc_mul",
-                            lambda left, right: calls.append(1) or original(left, right))
+        original = qalgebra._nc_step
+        monkeypatch.setattr(qalgebra, "_nc_step",
+                            lambda *args: calls.append(1) or original(*args))
         argv = ["verify", "qconjecture", "--max-n", "2", "--commutative-max-n", "3"]
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert len(calls) == 4 * 3
+        assert len(calls) == 3
 
     def test_rootform_range_may_be_empty(self):
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")

@@ -13,11 +13,10 @@ from newtonpoly.newton import (
     eval_pair,
     iterate_pair,
     iterate_value,
-    _pack,
-    _unpack,
     newton_step,
     sylvester_resultant,
 )
+from newtonpoly.packing import pack, unpack
 from newtonpoly.polyring import ABCX, MultiPoly
 
 
@@ -169,7 +168,7 @@ class TestPacking:
         rows = len(cells) // width
         padded = [v for r in range(rows)
                   for v in cells[r * width:(r + 1) * width] + [0] * (stride - width)]
-        assert _unpack(_pack(cells, width, stride, size), rows * stride, size) == padded
+        assert unpack(pack(cells, width, stride, size), rows * stride, size) == padded
 
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_slot_extremes(self, size):

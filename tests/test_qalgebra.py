@@ -1,17 +1,21 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from newtonpoly import qalgebra
 from newtonpoly.closedform import binomial
 from newtonpoly.errors import ResourceCapError, StructuralError
 from newtonpoly.newton import iterate_pair
+from newtonpoly.packing import pack, slot_size, unpack
 from newtonpoly.polyring import ABCQ, ABCQXY, ABCX, MultiPoly, nc_mul
 from newtonpoly.qalgebra import (
     _first_differing_word,
     conjecture_check,
     nc_closed,
     nc_iterate,
+    nc_iterates,
     qbinomial,
     qbinomial_product_value,
     qbinomial_rows,
@@ -171,6 +175,56 @@ class TestNCIterate:
         with pytest.raises(ResourceCapError):
             nc_iterate(5)
 
+    def test_packed_walk_matches_nc_mul_walk(self):
+        a, b, c = (MultiPoly.variable(ABCQXY, name) for name in "abc")
+        p, q = X, Y
+        expected = [(p, q)]
+        for _ in range(4):                  # the recurrence one nc_mul product at a time
+            qq = nc_mul(q, q)
+            p, q = a * nc_mul(p, p) - c * qq, a * (nc_mul(p, q) + nc_mul(q, p)) + b * qq
+            expected.append((p, q))
+        assert list(islice(nc_iterates(), 5)) == expected
+
+    def test_n5_matches_closed_form(self):
+        assert nc_iterate(5, cap=5) == nc_closed(5, cap=5)
+
+
+def homogeneous(size, terms):
+    """A polynomial over (c, q, x, y) of x, y-degree ``size`` from (k, s, e, coeff) terms."""
+    return MultiPoly(ABCQXY, {(0, 0, k, s, e, size - e): coeff for k, s, e, coeff in terms})
+
+
+ROWS, WIDTH = 4, 5          # operand terms have c^k q^s with k < ROWS, s < WIDTH
+TERMS = st.lists(st.tuples(st.integers(0, ROWS - 1), st.integers(0, WIDTH - 1),
+                           st.integers(0, 4), st.integers(-2 ** 100, 2 ** 100)), max_size=12)
+
+
+@given(st.integers(1, 4), TERMS, TERMS)
+def test_twisted_slice_product_matches_nc_mul(size, left_terms, right_terms):
+    left, right = (homogeneous(size, [t for t in terms if t[2] <= size])
+                   for terms in (left_terms, right_terms))
+    stride = 2 * WIDTH - 1 + size * size    # every twist (size - e1) e2 is at most size^2
+    slot = slot_size(max(map(int.bit_length, (*left._terms.values(), *right._terms.values())),
+                         default=0), max(len(left), len(right)))
+
+    def packed(poly):
+        cells = [[0] * (ROWS * WIDTH) for _ in range(size + 1)]
+        for (_, _, k, s, e, _), coeff in poly._terms.items():
+            cells[e][k * WIDTH + s] = coeff
+        return [pack(grid, WIDTH, stride, slot) for grid in cells]
+
+    def twisted(left_slices, right_slices):
+        product = {}
+        for e, value in enumerate(qalgebra._twisted(left_slices, right_slices, size, 8 * slot)):
+            for index, coeff in enumerate(unpack(value, (2 * ROWS - 1) * stride, slot)):
+                k, s = divmod(index, stride)
+                product[0, 0, k, s, e, 2 * size - e] = coeff
+        return MultiPoly(ABCQXY, product)
+
+    assert twisted(packed(left), packed(right)) == nc_mul(left, right) + nc_mul(right, left)
+    square = packed(left)
+    assert twisted(square, square) == nc_mul(left, left)
+
 
 class TestNCClosed:
     def test_seeds(self):
@@ -227,6 +281,10 @@ class TestConjecture:
         monkeypatch.setattr(qalgebra, "qbinomial_rows", unreachable)
         with pytest.raises(ResourceCapError, match="n = 7 exceeds the cap 4"):
             conjecture_check(7)
+
+    def test_short_walk_is_refused(self):
+        with pytest.raises(StructuralError, match="yielded 2 pairs, not the 5 of n = 0..4"):
+            conjecture_check(4, recurrence=list(islice(nc_iterates(), 2)))
 
     def test_first_differing_word_is_the_largest(self):
         left = nc(1, x=2, y=1) + nc(2, a=1, x=1, y=2) + nc(1, y=3)
