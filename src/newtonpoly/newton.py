@@ -9,15 +9,18 @@ entirely in Z[a,b,c][x].  The pair is homogeneous: every monomial
 a^i b^j c^k x^e of P_n has i + j + k = 2^n - 1 and j + 2k + e = 2^n, and
 every monomial of Q_n has the same i + j + k and j + 2k + e = 2^n - 1.  So
 (k, e), the exponents of c and x, name a term, and each polynomial is a
-half-full 2-D grid of integers.  On that grid multiplying by a or b is the
-identity (their exponents are implied) and multiplying by c shifts one row.
-Each step packs both grids into single integers by Kronecker substitution,
-takes the three products P^2, Q^2 and PQ as big-integer multiplies, forms
+half-full 2-D grid of integers; NewtonPair refuses a term off it.  On that
+grid multiplying by a or b is the identity (their exponents are implied) and
+multiplying by c shifts one row.  Each step packs both grids into single
+integers by Kronecker substitution, takes the three products P^2, Q^2 and PQ
+as big-integer multiplies, forms
 
     P' = P^2 - (Q^2 shifted one c-row)        Q' = 2 PQ + Q^2
 
-and unpacks the result.  The grid becomes an (a, b, c, x) polynomial once,
-after the last step.  The recurrence never consults the closed form.
+and unpacks the result.  The grading fixes the layout: at x-degree N a row
+holds N + 1 cells, packed at stride 2N + 1, and P' has N + 1 rows, Q' N.
+The grid becomes an (a, b, c, x) polynomial once, after the last step.  The
+recurrence never consults the closed form.
 
 Relative primality of the pair is certified two ways, each in a named ring:
 
@@ -88,15 +91,14 @@ class QuadraticCoeffs:
         return all(v.denominator == 1 for v in (self.a, self.b, self.c))
 
 
-_X = MultiPoly.variable(ABCX, "x")
-
-
 @dataclass(frozen=True)
 class NewtonPair:
-    """(P_n, Q_n) with the degree and leading-coefficient shape pinned down.
+    """(P_n, Q_n) on the grading grid, with the leading coefficients pinned down.
 
-    deg_x P = 2^n with leading x-coefficient a^(2^n - 1);
-    deg_x Q = 2^n - 1 with leading x-coefficient 2^n a^(2^n - 1).
+    Every term a^i b^j c^k x^e has i + j + k = 2^n - 1, and j + 2k + e is
+    2^n in P and 2^n - 1 in Q.  So the only possible term of top x-degree
+    is a^(2^n - 1) x^(2^n) in P and a^(2^n - 1) x^(2^n - 1) in Q, with
+    coefficient 1 in P and 2^n in Q.
     """
 
     n: int
@@ -109,15 +111,14 @@ class NewtonPair:
         if self.p.varset != ABCX or self.q.varset != ABCX:
             raise StructuralError("pair polynomials must live over (a, b, c, x)")
         size = 2 ** self.n
-        for name, poly, degree, lead in (("P", self.p, size, 1), ("Q", self.q, size - 1, size)):
-            if poly.degree_in("x") != degree:
-                raise StructuralError(f"deg_x {name} = {poly.degree_in('x')}, expected {degree}")
-            # One pass over the x^degree terms: exactly lead * a^(2^n - 1), nothing else.
-            if ({m: c for m, c in poly._terms.items() if m[3] == degree}
-                    != {(size - 1, 0, 0, degree): lead}):
+        for name, poly, weight, lead in (("P", self.p, size, 1), ("Q", self.q, size - 1, size)):
+            for i, j, k, e in poly._terms:
+                if i + j + k != size - 1 or j + 2 * k + e != weight:
+                    raise StructuralError(
+                        f"{name}_{self.n} has the term a^{i} b^{j} c^{k} x^{e}, off the grid "
+                        f"i + j + k = {size - 1}, j + 2k + e = {weight}")
+            if poly._terms.get((size - 1, 0, 0, weight)) != lead:
                 raise StructuralError(f"leading x-coefficient of {name} != {lead} a^{size - 1}")
-        if self.n == 0 and (self.p != _X or self.q != MultiPoly.one(ABCX)):
-            raise StructuralError("the 0th pair must be exactly (x, 1)")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p.to_dict(), "q": self.q.to_dict()}
@@ -144,24 +145,25 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
 # ---------------------------------------------------------------- packed recurrence
 #
 # A grid is a flat list of integers, row k (the c exponent) after row k - 1,
-# `width` cells per row, cell e holding the coefficient of x^e.  Its Kronecker
-# image (packing.pack) puts cell (k, e) in slot k * stride + e of an integer.
-# The stride must exceed every x exponent of a product.
+# size + 1 cells per row for x-degree size, cell e holding the coefficient of
+# x^e.  Its Kronecker image (packing.pack) puts cell (k, e) in slot
+# k * stride + e of an integer.
 
 
-def _step(p: list[int], q: list[int], width: int) -> tuple[list[int], list[int], int]:
-    """One recurrence step on the (c, x) grids; returns (P', Q', width')."""
-    stride = 2 * width - 1               # x-degree of a product, plus one
+def _step(p: list[int], q: list[int], size: int) -> tuple[list[int], list[int]]:
+    """One recurrence step on the (c, x) grids of (P, Q) at x-degree ``size``.
+
+    The stride 2 size + 1 exceeds every x exponent of a product.  Since
+    j = weight - 2k - e >= 0, P' has size + 1 rows and Q' has size rows.
+    """
+    stride = 2 * size + 1
     # A slot of P' or Q' sums at most 3 * terms products of two coefficients.
     terms = max(sum(1 for v in p if v), sum(1 for v in q if v))
-    size = slot_size(max(map(int.bit_length, p + q)), terms)
-    packed_p, packed_q = pack(p, width, stride, size), pack(q, width, stride, size)
+    slot = slot_size(max(map(int.bit_length, p + q)), terms)
+    packed_p, packed_q = (pack(cells, size + 1, stride, slot) for cells in (p, q))
     p_sq, q_sq, pq = packed_p * packed_p, packed_q * packed_q, packed_p * packed_q
-    p_rows, q_rows = len(p) // width, len(q) // width
-    new_p = unpack(p_sq - (q_sq << (8 * size * stride)),
-                   max(2 * p_rows - 1, 2 * q_rows) * stride, size)
-    new_q = unpack((pq << 1) + q_sq, max(p_rows + q_rows - 1, 2 * q_rows - 1) * stride, size)
-    return new_p, new_q, stride
+    return (unpack(p_sq - (q_sq << (8 * slot * stride)), size + 1, stride, stride, slot),
+            unpack((pq << 1) + q_sq, size, stride, stride, slot))
 
 
 def _lift(cells: list[int], width: int, degree: int, weight: int) -> MultiPoly:
@@ -191,11 +193,12 @@ def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
     bounds every coefficient of P' and Q', so the result is exact for every n.
     """
     check_index(n, cap)
-    p, q, width = [0, 1], [1, 0], 2      # P_0 = x and Q_0 = 1, cells e = 0, 1
-    for _ in range(n):
-        p, q, width = _step(p, q, width)
+    p, q = [0, 1], [1, 0]               # P_0 = x and Q_0 = 1, cells e = 0, 1
+    for k in range(n):
+        p, q = _step(p, q, 2 ** k)
     size = 2 ** n
-    return NewtonPair(n, _lift(p, width, size - 1, size), _lift(q, width, size - 1, size - 1))
+    return NewtonPair(n, _lift(p, size + 1, size - 1, size),
+                      _lift(q, size + 1, size - 1, size - 1))
 
 
 def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> Fraction:
@@ -271,18 +274,14 @@ def _grid_resultant(pair: NewtonPair) -> MultiPoly:
     determinant is the resultant at that point, and its signed base-2^width
     digits are the coefficients.  Their absolute values sum to at most the
     permanent of the entries' l1 norms, at most ||P||_1^(N-1) ||Q||_1^N, so
-    width = bitlen(that) + 2 keeps each digit in [-2^(width-1), 2^(width-1)).
+    bitlen(that) + 2 bits, rounded up to whole bytes, hold each digit in a
+    slot of packing.unpack.
     """
     size = 2 ** pair.n
-    for name, poly, weight in (("P", pair.p, size), ("Q", pair.q, size - 1)):
-        for i, j, k, e in poly._terms:
-            if i + j + k != size - 1 or j + 2 * k + e != weight:
-                raise StructuralError(
-                    f"{name}_{pair.n} has the term a^{i} b^{j} c^{k} x^{e}, off the grid "
-                    f"i + j + k = {size - 1}, j + 2k + e = {weight}")
     bound = (sum(map(abs, pair.p._terms.values())) ** (size - 1)
              * sum(map(abs, pair.q._terms.values())) ** size)
-    width = bound.bit_length() + 2
+    slot = (bound.bit_length() + 2 + 7) // 8
+    width = 8 * slot
 
     def packed(poly: MultiPoly, degree: int) -> list[int]:     # leading x-coefficient first
         entries = [0] * (degree + 1)
@@ -293,12 +292,8 @@ def _grid_resultant(pair: NewtonPair) -> MultiPoly:
     rows = _sylvester_matrix(packed(pair.p, size), packed(pair.q, size - 1), 0)
     value = _bareiss_determinant(rows, 1, operator.floordiv)
     total, weight = (2 * size - 1) * (size - 1), size * (size - 1)
-    slots = weight // 2 + 1             # k <= W/2, since j >= 0
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    # Adding half to every slot makes each digit a nonnegative, carry-free field.
-    biased = value + half * ((1 << (width * slots)) - 1) // mask
-    digits = [(biased >> (width * k) & mask) - half for k in range(slots)]
-    return _lift(digits, 1, total, weight)      # a grid of one x^0 cell per power of c
+    # One x^0 cell per power of c, k <= W/2 since j >= 0.
+    return _lift(unpack(value, weight // 2 + 1, 1, 1, slot), 1, total, weight)
 
 
 # ---------------------------------------------------------------- specialization GCD

@@ -8,7 +8,8 @@ index of the product.  One slot encoding serves both directions: a slot
 holds its value plus the bias 2^(8 size - 1), which makes every slot in
 [-2^(8 size - 1), 2^(8 size - 1)) a nonnegative, carry-free run of bytes,
 and the packed bias (``bias``) is subtracted after packing and added back
-before unpacking.
+before unpacking.  ``unpack`` inverts ``pack``: given the rows, width and
+stride of a grid it returns exactly its cells, never the padding slots.
 
 ``newton`` packs the (c, x) grids of the commutative pair and ``qalgebra``
 the (c, q) slices of the noncommutative one; both size their slots by
@@ -44,9 +45,10 @@ def pack(cells: list[int], width: int, stride: int, size: int) -> int:
     return int.from_bytes(biased, "little") - bias(len(cells) // width * stride, size)
 
 
-def unpack(value: int, slots: int, size: int) -> list[int]:
-    """Inverse of ``pack`` for slot values in [-2^(8 size - 1), 2^(8 size - 1))."""
+def unpack(value: int, rows: int, width: int, stride: int, size: int) -> list[int]:
+    """Inverse of ``pack`` for slots in [-2^(8 size - 1), 2^(8 size - 1)); skips the padding."""
     half = 1 << (8 * size - 1)
-    raw = memoryview((value + bias(slots, size)).to_bytes(slots * size, "little"))
+    raw = memoryview((value + bias(rows * stride, size)).to_bytes(rows * stride * size, "little"))
     return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, slots * size, size)]
+            for start in range(0, rows * stride * size, stride * size)
+            for i in range(start, start + width * size, size)]

@@ -29,20 +29,27 @@ over (a, b, c, x).
 
 nc_iterates() never calls nc_mul, which stays the reference product.  With
 N = 2^n every word a^i b^j c^k q^s x^e y^(N-e) of P'_n has i + j + k = N - 1
-and j + 2k + e = N (N - 1 in Q'_n), so (k, e, s) names it.  For each e the
-(k, s) grid is one slice, packed into one integer (packing.pack, row k at
-slot k * stride).  Words multiply by the twist (Kassel, Quantum Groups, IV)
+and j + 2k + e = W, the weight (N in P'_n, N - 1 in Q'_n), so (k, e, s)
+names it.  For each e the (k, s) grid is one slice, packed into one integer
+(packing.pack, row k at slot k * stride).  Words multiply by the twist
+(Kassel, Quantum Groups, IV)
 
     (x^e1 y^(N-e1)) (x^e2 y^(N-e2)) = q^((N-e1) e2) x^(e1+e2) y^(2N-e1-e2)
 
 so slice e1 times slice e2 is one big-integer product shifted (N - e1) e2
 q-slots into slice e1 + e2; a and b are implied and c shifts one row.
+
+The grading fixes every layout.  Slice e has (W - e) // 2 + 1 rows, since
+j >= 0, of e (N - e) + 1 cells: its q-degree is at most e (N - e), at N = 1
+and by induction, since e1 (N - e1) + e2 (N - e2) + (N - e1) e2 <= e (2N - e)
+for e = e1 + e2.  So the q-stride N^2 + 1 exceeds every q exponent of a
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 from .closedform import IdentityCheckReport, p_contributions, q_contributions
@@ -85,18 +92,19 @@ def qbinomial(n: int, k: int) -> MultiPoly:
 def qbinomial_product_value(n: int, k: int, q_value: int) -> int:
     """The product formula prod_{i=1}^{n-k} (1 - q^(i+k))/(1 - q^i) at integer q.
 
-    Exact integer arithmetic on both products; q = 1 is rejected since the
-    formula degenerates there (use the plain binomial instead).
+    Exact integer arithmetic on both products.  ValueError where the
+    denominator vanishes, which is at q = 1 with k < n and at q = -1 with
+    n - k >= 2 (use the Gaussian polynomial instead).
     """
     if not (0 <= k <= n):
         return 0
-    if q_value == 1:
-        raise ValueError("product formula degenerates at q = 1")
     numerator = 1
     denominator = 1
     for i in range(1, n - k + 1):
         numerator *= 1 - q_value ** (i + k)
         denominator *= 1 - q_value ** i
+    if not denominator:
+        raise ValueError(f"product formula degenerates at q = {q_value}: zero denominator")
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(f"product formula did not divide exactly at ({n}, {k})")
@@ -127,21 +135,6 @@ def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
 
 # ---------------------------------------------------------------- packed recurrence
 
-# Slice e of a polynomial: its cells, `width` = q-degree + 1 per row, up to
-# the last nonzero row; a zero slice is ([], 1).
-Slices = list[tuple[list[int], int]]
-
-
-def _trim(cells: list[int], stride: int) -> tuple[list[int], int]:
-    """The nonzero rows of a slice laid out ``stride`` cells per row, cut to its q-degree."""
-    nonzero = list(compress(range(len(cells)), cells))
-    if not nonzero:
-        return [], 1
-    width = 1 + max(index % stride for index in nonzero)
-    rows = range(0, (nonzero[-1] // stride + 1) * stride, stride)
-    return list(chain.from_iterable(cells[start:start + width] for start in rows)), width
-
-
 def _twisted(left: list[int], right: list[int], size: int, slot_bits: int) -> list[int]:
     """Packed slices of L R + R L, or of L^2 when right is left, for x-degree ``size``.
 
@@ -162,40 +155,39 @@ def _twisted(left: list[int], right: list[int], size: int, slot_bits: int) -> li
     return out
 
 
-def _nc_step(p: Slices, q: Slices, size: int) -> tuple[Slices, Slices]:
+def _width(size: int, e: int) -> int:
+    """Cells per row of slice e at x-degree ``size``: q-degree e (size - e), plus one."""
+    return e * (size - e) + 1
+
+
+def _nc_step(p: list[list[int]], q: list[list[int]],
+             size: int) -> tuple[list[list[int]], list[list[int]]]:
     """One recurrence step on the slices of (P', Q'), each of x-degree ``size``.
 
-    The stride exceeds every q exponent of a product; a slot of P' or Q'
-    sums at most 3 * terms products of two coefficients, as in newton._step.
+    A slot of P' or Q' sums at most 3 * terms products of two coefficients,
+    as in newton._step.
     """
-    stride = 1 + max(width_l + width_r - 2 + (size - e1) * e2
-                     for left, right in ((p, p), (q, q), (p, q), (q, p))
-                     for e1, (cells_l, width_l) in enumerate(left) if cells_l
-                     for e2, (cells_r, width_r) in enumerate(right) if cells_r)
-    terms = max(sum(len(cells) - cells.count(0) for cells, _ in poly) for poly in (p, q))
-    slot = slot_size(max(max(map(int.bit_length, cells), default=0) for cells, _ in p + q), terms)
-    packed_p, packed_q = ([pack(cells, width, stride, slot) for cells, width in poly]
-                          for poly in (p, q))
+    stride = size * size + 1
+    terms = max(sum(len(cells) - cells.count(0) for cells in poly) for poly in (p, q))
+    slot = slot_size(max(max(map(int.bit_length, cells), default=0) for cells in p + q), terms)
+    packed_p, packed_q = ([pack(cells, _width(size, e), stride, slot)
+                           for e, cells in enumerate(poly)] for poly in (p, q))
     slot_bits = 8 * slot
     pp, qq, pq_qp = (_twisted(left, right, size, slot_bits)
                      for left, right in ((packed_p, packed_p), (packed_q, packed_q),
                                          (packed_p, packed_q)))
     new_p = [v - (w << (slot_bits * stride)) for v, w in zip(pp, qq)]
     new_q = [v + w for v, w in zip(pq_qp, qq)]
-    return (_unpack_slices(new_p, 2 * size, stride, slot),
-            _unpack_slices(new_q, 2 * size - 1, stride, slot))
+    return tuple([unpack(value, (weight - e) // 2 + 1, _width(2 * size, e), stride, slot)
+                  for e, value in enumerate(values)]
+                 for values, weight in ((new_p, 2 * size), (new_q, 2 * size - 1)))
 
 
-def _unpack_slices(values: list[int], weight: int, stride: int, slot: int) -> Slices:
-    # b's exponent j = weight - 2k - e is nonnegative, so slice e has (weight - e) // 2 + 1 rows.
-    return [_trim(unpack(value, ((weight - e) // 2 + 1) * stride, slot), stride)
-            for e, value in enumerate(values)]
-
-
-def _nc_lift(slices: Slices, size: int, weight: int) -> MultiPoly:
+def _nc_lift(slices: list[list[int]], size: int, weight: int) -> MultiPoly:
     """Slices to polynomial: i + j + k = size - 1 and j + 2k + e = weight fix i and j."""
     terms = {}
-    for e, (cells, width) in enumerate(slices):
+    for e, cells in enumerate(slices):
+        width = _width(size, e)
         for index in compress(range(len(cells)), cells):
             k, s = divmod(index, width)
             j = weight - 2 * k - e
@@ -205,7 +197,7 @@ def _nc_lift(slices: Slices, size: int, weight: int) -> MultiPoly:
 
 def nc_iterates() -> Iterator[tuple[MultiPoly, MultiPoly]]:
     """(P'_0, Q'_0), (P'_1, Q'_1), ... by the noncommutative recurrence, on packed slices."""
-    p, q, size = [([], 1), ([1], 1)], [([1], 1), ([], 1)], 1       # P'_0 = x, Q'_0 = y
+    p, q, size = [[0], [1]], [[1], []], 1       # P'_0 = x, Q'_0 = y
     while True:
         yield _nc_lift(p, size, size), _nc_lift(q, size, size - 1)
         p, q = _nc_step(p, q, size)

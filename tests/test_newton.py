@@ -150,15 +150,20 @@ class TestIteratePair:
             NewtonPair(1, good.q, good.q)
         with pytest.raises(StructuralError):
             NewtonPair(0, good.p, good.q)
+        # a^16 keeps deg_x and the leading coefficient of P_4, but an a-exponent
+        # of 2^4 overran the power tables of coprimality_check (IndexError).
+        fourth = iterate_pair(4)
+        with pytest.raises(StructuralError):
+            NewtonPair(4, fourth.p + term(1, a=16), fourth.q)
 
     @pytest.mark.parametrize("poly, extra", [("p", {"b": 1, "x": 2}), ("q", {"c": 1, "x": 1})])
     def test_leading_coefficient_with_extra_term_rejected(self, poly, extra):
-        # The expected leading monomial keeps its coefficient; only a second
-        # term at the top x-power is wrong, which a single lookup would miss.
+        # The expected leading monomial keeps its coefficient; the second term
+        # at the top x-power is off the grid, so a single lookup suffices.
         good = iterate_pair(1)
         polys = {"p": good.p, "q": good.q}
         polys[poly] = polys[poly] + MultiPoly.term(ABCX, 1, **extra)
-        with pytest.raises(StructuralError, match="leading x-coefficient"):
+        with pytest.raises(StructuralError, match="off the grid"):
             NewtonPair(1, polys["p"], polys["q"])
 
 
@@ -166,9 +171,7 @@ class TestPacking:
     @staticmethod
     def round_trip(cells, width, stride, size):
         rows = len(cells) // width
-        padded = [v for r in range(rows)
-                  for v in cells[r * width:(r + 1) * width] + [0] * (stride - width)]
-        assert unpack(pack(cells, width, stride, size), rows * stride, size) == padded
+        assert unpack(pack(cells, width, stride, size), rows, width, stride, size) == cells
 
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_slot_extremes(self, size):
@@ -250,12 +253,11 @@ class TestResultant:
         assert report.resultant == sylvester_resultant(pair.p, pair.q, "x")
 
     def test_grid_resultant_refuses_a_term_off_the_grid(self):
-        # b x^0 keeps deg_x and the leading coefficient of P_2, so the pair is
-        # built, but its a, b, c degree is 1, not 3: it would share a grid slot.
+        # b x^0 keeps deg_x and the leading coefficient of P_2, but its a, b, c
+        # degree is 1, not 3: it would share a grid slot, so the pair is refused.
         pair = iterate_pair(2)
-        stray = NewtonPair(2, pair.p + term(1, b=1), pair.q)
         with pytest.raises(StructuralError, match=r"P_2 has the term a\^0 b\^1 c\^0 x\^0"):
-            coprimality_check(stray, trials=1, seed=0)
+            NewtonPair(2, pair.p + term(1, b=1), pair.q)
 
     def test_resultant_detects_common_factor(self):
         x = MultiPoly.variable(ABCX, "x")

@@ -93,9 +93,10 @@ class TestQBinomial:
                 assert qbinomial(n, k).evaluate({"q": q_value}) == \
                     qbinomial_product_value(n, k, q_value)
 
-    def test_product_formula_rejects_q1(self):
+    @pytest.mark.parametrize("n, k, q_value", [(4, 2, 1), (4, 1, -1)])
+    def test_product_formula_rejects_q1(self, n, k, q_value):
         with pytest.raises(ValueError):
-            qbinomial_product_value(4, 2, 1)
+            qbinomial_product_value(n, k, q_value)
 
 
 class TestNCPoly:
@@ -216,7 +217,7 @@ def test_twisted_slice_product_matches_nc_mul(size, left_terms, right_terms):
     def twisted(left_slices, right_slices):
         product = {}
         for e, value in enumerate(qalgebra._twisted(left_slices, right_slices, size, 8 * slot)):
-            for index, coeff in enumerate(unpack(value, (2 * ROWS - 1) * stride, slot)):
+            for index, coeff in enumerate(unpack(value, 2 * ROWS - 1, stride, stride, slot)):
                 k, s = divmod(index, stride)
                 product[0, 0, k, s, e, 2 * size - e] = coeff
         return MultiPoly(ABCQXY, product)
