@@ -23,6 +23,8 @@ FIVE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
 # discriminants: 4, 1, 25, -4, 16 — add non-square ones so the radical
 # arithmetic is actually exercised
 IRRATIONAL_TRIPLES = ((1, 1, -1), (1, 0, 2), (2, -3, -4))
+# a < 0 with d = 5 and d = 64: the reference triples have square or negative d
+AGREEMENT_TRIPLES = FIVE_TRIPLES + IRRATIONAL_TRIPLES + ((-1, 1, 1), (-3, 2, 5))
 
 
 def quadext_binomial_power(root, n, d):
@@ -236,15 +238,23 @@ class TestConjugacy:
         assert report.traces[0].status == "skipped"
         assert not report.passed      # nothing was actually checked
 
-    @pytest.mark.parametrize("triple", FIVE_TRIPLES + IRRATIONAL_TRIPLES)
-    def test_agreement_up_to_n4(self, triple):
+    @staticmethod
+    def assert_agreement(triple, ns):
         samples = [Fraction(s) for s in
                    ("2", "3", "4", "5", "7", "-2", "1/2", "1/3", "2/3", "5/4",
                     "-5/3", "7/5", "9/7", "11/3", "-7/2")]
-        for n in range(1, 5):
+        for n in ns:
             report = conjugacy_check(QuadraticCoeffs(*triple), n, samples)
             assert report.passed
             assert report.checked >= 10
+
+    @pytest.mark.parametrize("triple", AGREEMENT_TRIPLES)
+    def test_agreement_up_to_n4(self, triple):
+        self.assert_agreement(triple, range(1, 5))
+
+    @pytest.mark.parametrize("triple", AGREEMENT_TRIPLES)
+    def test_agreement_n5_to_n8(self, triple):
+        self.assert_agreement(triple, range(5, 9))    # up to the default cap
 
     def test_cap(self):
         coeffs = QuadraticCoeffs(1, 0, -1)
