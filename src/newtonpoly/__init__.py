@@ -19,9 +19,8 @@ from .closedform import (
     lemma1_rhs,
     power_difference,
 )
-from .errors import DomainError, ResourceCapError, StructuralError
+from .errors import DEFAULT_CAP, DomainError, ResourceCapError, StructuralError
 from .newton import (
-    DEFAULT_CAP,
     CoprimalityReport,
     NewtonPair,
     QuadraticCoeffs,
@@ -43,15 +42,7 @@ from .qalgebra import (
     qbinomial_rows,
     qbinomial_theorem_check,
 )
-from .quadfield import (
-    ConjugacyReport,
-    QuadExt,
-    conjugacy_check,
-    phi_apply,
-    phi_inverse,
-    root_form_pair,
-    roots,
-)
+from .quadfield import ConjugacyReport, conjugacy_check, root_form_pair
 from .smoothness import (
     SmoothnessReport,
     SmoothPart,

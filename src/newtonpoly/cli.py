@@ -20,8 +20,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import closedform, newton, qalgebra, quadfield, smoothness
-from .errors import DomainError, ResourceCapError, StructuralError, check_index
-from .newton import DEFAULT_CAP, NewtonPair, QuadraticCoeffs
+from .errors import DEFAULT_CAP, DomainError, ResourceCapError, StructuralError, check_index
+from .newton import NewtonPair, QuadraticCoeffs
 
 # Reference coefficient triples used by the equivalence and conjugacy suites.
 REFERENCE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TypeVar
 
-from .errors import check_index
-from .newton import DEFAULT_CAP
+from .errors import DEFAULT_CAP, check_index
 from .polyring import ABCX, XY, Monomial, MultiPoly
 
 T = TypeVar("T")

@@ -17,6 +17,9 @@ class ResourceCapError(RuntimeError):
     """Iteration index beyond the configured cap (coefficient blow-up guard)."""
 
 
+DEFAULT_CAP = 8
+
+
 def check_index(n: int, cap: int) -> None:
     """Guard an iteration index: usage error below 0, cap error above ``cap``."""
     if n < 0:

@@ -53,11 +53,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, StructuralError, check_index
+from .errors import DEFAULT_CAP, DomainError, StructuralError, check_index
 from .packing import pack, slot_size, unpack
 from .polyring import ABCX, MultiPoly, divexact
 
-DEFAULT_CAP = 8
 EXACT_RESULTANT_MAX_N = 3
 GCD_PRIME = (1 << 61) - 1       # Mersenne prime; the specialized gcd runs over GF(GCD_PRIME)
 

@@ -65,16 +65,13 @@ _ZERO3 = MultiPoly.zero(ABCQ)
 _ONE3 = MultiPoly.one(ABCQ)
 
 
-def _q_power(exponent: int) -> MultiPoly:
-    return MultiPoly.variable(ABCQ, "q", exponent) if exponent else _ONE3
-
-
 def qbinomial_rows() -> Iterator[tuple[MultiPoly, ...]]:
     """Rows 0, 1, 2, ... of Gaussian polynomials; row n is ([n, 0], ..., [n, n])."""
     row = (_ONE3,)
     while True:
         yield row
-        inner = (row[k - 1] + _q_power(k) * row[k] for k in range(1, len(row)))
+        inner = (row[k - 1] + MultiPoly.variable(ABCQ, "q", k) * row[k]
+                 for k in range(1, len(row)))
         row = (_ONE3, *inner, _ONE3)
 
 
@@ -212,11 +209,12 @@ def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]
 
 def _nc_sum(n: int, contributions) -> MultiPoly:
     # Each closed-form term of x^k becomes the word x^k y^(2^n - k), one word per
-    # term of its coefficient; (k, j, q) name a word, so no two words coincide.
+    # term of its coefficient, a polynomial in q alone; (k, j, q) name a word, so
+    # no two words coincide.
     size = 2 ** n
-    return MultiPoly._raw(ABCQXY, {(a + ca, b + cb, c + cc, q, k, size - k): value
+    return MultiPoly._raw(ABCQXY, {(a, b, c, q, k, size - k): value
                                    for k, _j, coeff, (a, b, c, _x) in contributions
-                                   for (ca, cb, cc, q), value in coeff._terms.items()})
+                                   for (_a, _b, _c, q), value in coeff._terms.items()})
 
 
 def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from newtonpoly import closedform
 from newtonpoly.closedform import (
     binomial,
     closed_audit,
@@ -144,3 +148,16 @@ class TestPowerDifferenceIdentity:
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             lemma1_rhs(0)
+
+
+def test_closed_form_imports_no_other_route():
+    # The closed form is checked against the recurrence (newton) and the root
+    # form (quadfield); it must not lean on either.
+    tree = ast.parse(Path(closedform.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)    # from . import newton
+    assert not {part for name in names for part in name.split(".")} & {"newton", "quadfield"}

@@ -10,14 +10,7 @@ from newtonpoly.errors import DomainError, ResourceCapError, StructuralError
 from newtonpoly import quadfield
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import X_ONLY, MultiPoly
-from newtonpoly.quadfield import (
-    QuadExt,
-    conjugacy_check,
-    phi_apply,
-    phi_inverse,
-    root_form_pair,
-    roots,
-)
+from newtonpoly.quadfield import conjugacy_check, root_form_pair
 
 FIVE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
 # discriminants: 4, 1, 25, -4, 16 — add non-square ones so the radical
@@ -27,37 +20,58 @@ IRRATIONAL_TRIPLES = ((1, 1, -1), (1, 0, 2), (2, -3, -4))
 AGREEMENT_TRIPLES = FIVE_TRIPLES + IRRATIONAL_TRIPLES + ((-1, 1, 1), (-3, 2, 5))
 
 
+def fold(u, v, d):
+    """u + v sqrt(d) as a pair of Fractions, a square d's principal root folded into u."""
+    root = math.isqrt(d) if d > 0 else 0
+    if root * root == d:
+        return Fraction(u + v * root), Fraction(0)
+    return Fraction(u), Fraction(v)
+
+
+def field_mul(x, y, d):
+    return fold(x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0], d)
+
+
+def field_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
 def quadext_binomial_power(root, n, d):
     """Ascending coefficients of (x - root)^n in Q(sqrt(d)), by the binomial theorem."""
-    minus = -root
+    minus = (-root[0], -root[1])
     coeffs = []
-    power_of_root = QuadExt(1, 0, d)
+    power_of_root = fold(1, 0, d)
     for k in range(n, -1, -1):
-        coeffs.append(power_of_root * math.comb(n, k))
+        coeffs.append(field_mul(power_of_root, (math.comb(n, k), 0), d))
         if k:
-            power_of_root = power_of_root * minus
+            power_of_root = field_mul(power_of_root, minus, d)
     coeffs.reverse()
     return coeffs
 
 
 def quadext_root_form_pair(coeffs, n):
-    """The root form summed in Q(sqrt(d)) with rational QuadExt parts, the slow route.
+    """The root form summed in the quadratic extension Q(sqrt(d)), the slow route.
 
     Returns None when a coefficient keeps a radical or fractional part.
     """
-    r1, r2 = roots(coeffs)
-    d = r1.d
+    a, b, c = (int(value) for value in (coeffs.a, coeffs.b, coeffs.c))
+    d = b * b - 4 * a * c
+    r1 = fold(Fraction(-b, 2 * a), Fraction(1, 2 * a), d)
+    r2 = fold(Fraction(-b, 2 * a), Fraction(-1, 2 * a), d)
     size = 2 ** n
     around_r2 = quadext_binomial_power(r2, size, d)
     around_r1 = quadext_binomial_power(r1, size, d)
-    scalar = QuadExt.lift(coeffs.a ** (size - 1), d) / (r1 - r2)
-    p = [(u * r1 - v * r2) * scalar for u, v in zip(around_r2, around_r1)]
-    q = [(u - v) * scalar for u, v in zip(around_r2, around_r1)]
+    du, dv = field_sub(r1, r2)
+    norm = du * du - d * dv * dv
+    scalar = field_mul((a ** (size - 1), 0), (du / norm, -dv / norm), d)   # a^(N-1) / (r1 - r2)
+    p = [field_mul(field_sub(field_mul(u, r1, d), field_mul(v, r2, d)), scalar, d)
+         for u, v in zip(around_r2, around_r1)]
+    q = [field_mul(field_sub(u, v), scalar, d) for u, v in zip(around_r2, around_r1)]
     pair = []
     for values in (p, q):
-        if any(not value.is_rational or value.u.denominator != 1 for value in values):
+        if any(v or u.denominator != 1 for u, v in values):
             return None
-        pair.append(MultiPoly(X_ONLY, {(k,): int(value.u) for k, value in enumerate(values)}))
+        pair.append(MultiPoly(X_ONLY, {(k,): int(u) for k, (u, _) in enumerate(values)}))
     return tuple(pair)
 
 
@@ -80,130 +94,22 @@ def differential_triples():
     return hand_picked + seeded
 
 
-class TestQuadExt:
+class TestTimes:
     def test_multiplication_rule(self):
-        left = QuadExt(Fraction(1), Fraction(2), 5)
-        right = QuadExt(Fraction(3), Fraction(-1), 5)
-        product = left * right
         # (1 + 2 sqrt5)(3 - sqrt5) = 3 - sqrt5 + 6 sqrt5 - 2*5 = -7 + 5 sqrt5
-        assert product == QuadExt(Fraction(-7), Fraction(5), 5)
-
-    def test_perfect_square_radicand_folds(self):
-        value = QuadExt(Fraction(1, 2), Fraction(1, 2), 9)
-        assert value.is_rational
-        assert value.u == 2
-
-    def test_negative_radicand_stays_symbolic(self):
-        value = QuadExt(0, Fraction(1, 2), -4)
-        assert not value.is_rational
-        assert value * value == QuadExt(-1, 0, -4)
-
-    def test_inverse_and_norm(self):
-        value = QuadExt(1, 1, 2)
-        assert value.norm() == -1
-        assert value * value.inverse() == 1
-
-    def test_zero_norm_not_invertible(self):
-        with pytest.raises(DomainError):
-            QuadExt(0, 0, 5).inverse()
-
-    def test_mixed_radicands_rejected(self):
-        with pytest.raises(StructuralError):
-            QuadExt(1, 1, 2) + QuadExt(1, 1, 3)
-
-    def test_rational_operand_adopts_radicand(self):
-        assert QuadExt(1, 1, 2) + QuadExt(2, 0, 7) == QuadExt(3, 1, 2)
-        assert QuadExt(1, 1, 2) + Fraction(1, 2) == QuadExt(Fraction(3, 2), 1, 2)
-
-    def test_equality_ignores_radicand_for_rationals(self):
-        assert QuadExt(Fraction(5, 4), 0, 4) == QuadExt(Fraction(5, 4), 0, 8)
-        assert QuadExt(Fraction(5, 4), 0, 4) == Fraction(5, 4)
-
-    def test_powers(self):
-        golden = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
-        # golden ratio: phi^2 = phi + 1
-        assert golden ** 2 == golden + 1
-        assert golden ** -1 == golden - 1
-
-    def test_immutability(self):
-        value = QuadExt(1, 2, 3)
-        with pytest.raises(AttributeError):
-            value.u = Fraction(9)
+        assert quadfield._times((1, 2), (3, -1), 5) == (-7, 5)
 
 
 class TestRoots:
-    def test_rational_roots(self):
-        r1, r2 = roots(QuadraticCoeffs(1, 0, -1))
-        assert (r1, r2) == (1, -1)
-        r1, r2 = roots(QuadraticCoeffs(1, -3, 2))
-        assert (r1, r2) == (2, 1)
-
-    def test_complex_roots(self):
-        r1, r2 = roots(QuadraticCoeffs(1, 0, 1))
-        assert r1 == QuadExt(0, Fraction(1, 2), -4)
-        assert r2 == QuadExt(0, Fraction(-1, 2), -4)
-
-    def test_vieta(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            a = rng.choice([i for i in range(-9, 10) if i])
-            b, c = rng.randint(-9, 9), rng.randint(-9, 9)
-            coeffs = QuadraticCoeffs(a, b, c)
-            if coeffs.discriminant == 0:
-                continue
-            r1, r2 = roots(coeffs)
-            assert r1 + r2 == Fraction(-b, a)
-            assert r1 * r2 == Fraction(c, a)
+    """The conjugacy check needs two distinct roots of an integer quadratic."""
 
     def test_double_root_rejected(self):
         with pytest.raises(DomainError):
-            roots(QuadraticCoeffs(1, 2, 1))
+            conjugacy_check(QuadraticCoeffs(1, 2, 1), 1, [2])
 
     def test_non_integer_coefficients_rejected(self):
         with pytest.raises(StructuralError):
-            roots(QuadraticCoeffs(Fraction(1, 2), 0, -1))
-
-
-class TestPhi:
-    def test_sends_r1_to_zero(self):
-        pair = roots(QuadraticCoeffs(1, -3, 2))
-        assert phi_apply(pair, pair[0]) == 0
-
-    def test_worked_values(self):
-        assert phi_apply(roots(QuadraticCoeffs(1, 0, -1)), 2) == Fraction(1, 3)
-        assert phi_apply(roots(QuadraticCoeffs(1, -3, 2)), 3) == Fraction(1, 2)
-
-    def test_pole_at_r2(self):
-        pair = roots(QuadraticCoeffs(1, 0, -1))
-        with pytest.raises(DomainError):
-            phi_apply(pair, -1)
-
-    def test_inverse_worked_values(self):
-        pair = roots(QuadraticCoeffs(1, 0, -1))
-        assert phi_inverse(pair, 0) == pair[0]
-        assert phi_inverse(pair, Fraction(1, 9)) == Fraction(5, 4)
-        pair = roots(QuadraticCoeffs(1, -3, 2))
-        assert phi_inverse(pair, Fraction(1, 4)) == Fraction(7, 3)
-
-    def test_inverse_pole_at_one(self):
-        with pytest.raises(DomainError):
-            phi_inverse(roots(QuadraticCoeffs(1, 0, -1)), 1)
-
-    def test_round_trip_identity(self):
-        rng = random.Random(31)
-        for triple in FIVE_TRIPLES + IRRATIONAL_TRIPLES:
-            pair = roots(QuadraticCoeffs(*triple))
-            checked = 0
-            while checked < 20:
-                z = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-                lifted = QuadExt.lift(z, pair[0].d)
-                if lifted == pair[1]:
-                    continue
-                w = phi_apply(pair, lifted)
-                if w == 1:
-                    continue
-                assert phi_inverse(pair, w) == lifted
-                checked += 1
+            conjugacy_check(QuadraticCoeffs(Fraction(1, 2), 0, -1), 1, [2])
 
 
 class TestConjugacy:
@@ -212,7 +118,7 @@ class TestConjugacy:
         assert report.passed
         trace = report.traces[0]
         assert trace.newton_value == Fraction(5, 4)
-        assert trace.conjugacy_value == Fraction(5, 4)
+        assert trace.conjugacy_value == (Fraction(5, 4), 0, 4)
 
     def test_worked_sample_135(self):
         report = conjugacy_check(QuadraticCoeffs(1, -3, 2), 1, [3])
