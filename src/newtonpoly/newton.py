@@ -156,9 +156,7 @@ def _step(p: list[int], q: list[int], size: int) -> tuple[list[int], list[int]]:
     j = weight - 2k - e >= 0, P' has size + 1 rows and Q' has size rows.
     """
     stride = 2 * size + 1
-    # A slot of P' or Q' sums at most 3 * terms products of two coefficients.
-    terms = max(sum(1 for v in p if v), sum(1 for v in q if v))
-    slot = slot_size(max(map(int.bit_length, p + q)), terms)
+    slot = slot_size(p, q)
     packed_p, packed_q = (pack(cells, size + 1, stride, slot) for cells in (p, q))
     p_sq, q_sq, pq = packed_p * packed_p, packed_q * packed_q, packed_p * packed_q
     return (unpack(p_sq - (q_sq << (8 * slot * stride)), size + 1, stride, stride, slot),
@@ -187,9 +185,8 @@ def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
     is 2^n in P_n and 2^n - 1 in Q_n, so the recurrence runs on the grids of
     (c, x) exponents: for n >= 1, P_n fills half of a (2^(n-1) + 1) by
     (2^n + 1) grid.  Each step packs both grids by Kronecker substitution and takes three
-    big-integer products, P^2, Q^2 and PQ.  A slot is 2 * (max coefficient
-    bits) + bitlen(terms) + 3 bits wide, rounded up to whole bytes, which
-    bounds every coefficient of P' and Q', so the result is exact for every n.
+    big-integer products, P^2, Q^2 and PQ.  packing.slot_size bounds every
+    coefficient of P' and Q', so the result is exact for every n.
     """
     check_index(n, cap)
     p, q = [0, 1], [1, 0]               # P_0 = x and Q_0 = 1, cells e = 0, 1
@@ -268,25 +265,25 @@ def _grid_resultant(pair: NewtonPair) -> MultiPoly:
     r of its block and column col has weight col - r, and every term of the
     determinant has total degree T = (2N - 1)(N - 1) and weight
     W = sum(col) - sum(r) = N(N - 1).  Its c exponent k names it:
-    j = W - 2k and i = T - j - k.  Each entry is packed at a = b = 1,
-    c = 2^width; evaluation is a ring homomorphism, so the integer
-    determinant is the resultant at that point, and its signed base-2^width
-    digits are the coefficients.  Their absolute values sum to at most the
+    j = W - 2k and i = T - j - k.  Each entry is the value at a = b = 1,
+    c = 2^(8 slot), which is the packing.pack image of its x-power's
+    c-column; evaluation is a ring homomorphism, so the integer determinant
+    is the resultant at that point, and its signed base-2^(8 slot) digits
+    are the coefficients.  Their absolute values sum to at most the
     permanent of the entries' l1 norms, at most ||P||_1^(N-1) ||Q||_1^N, so
     bitlen(that) + 2 bits, rounded up to whole bytes, hold each digit in a
-    slot of packing.unpack.
+    slot, and each coefficient of P_n and Q_n, which that bound exceeds.
     """
     size = 2 ** pair.n
     bound = (sum(map(abs, pair.p._terms.values())) ** (size - 1)
              * sum(map(abs, pair.q._terms.values())) ** size)
     slot = (bound.bit_length() + 2 + 7) // 8
-    width = 8 * slot
 
     def packed(poly: MultiPoly, degree: int) -> list[int]:     # leading x-coefficient first
-        entries = [0] * (degree + 1)
+        columns = [[0] * (size // 2 + 1) for _ in range(degree + 1)]
         for (_, _, k, e), coeff in poly._terms.items():
-            entries[degree - e] += coeff << (width * k)
-        return entries
+            columns[degree - e][k] = coeff
+        return [pack(column, 1, 1, slot) for column in columns]
 
     rows = _sylvester_matrix(packed(pair.p, size), packed(pair.q, size - 1), 0)
     value = _bareiss_determinant(rows, 1, operator.floordiv)

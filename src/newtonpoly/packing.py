@@ -1,4 +1,4 @@
-"""Kronecker slot encoding shared by the packed recurrences.
+"""Kronecker slot encoding: every packed integer is built and read here.
 
 A grid is a flat list of integers, `width` cells per row.  Its Kronecker
 image puts cell (r, t) in slot r * stride + t of one integer, each slot
@@ -11,20 +11,25 @@ and the packed bias (``bias``) is subtracted after packing and added back
 before unpacking.  ``unpack`` inverts ``pack``: given the rows, width and
 stride of a grid it returns exactly its cells, never the padding slots.
 
-``newton`` packs the (c, x) grids of the commutative pair and ``qalgebra``
-the (c, q) slices of the noncommutative one; both size their slots by
-``slot_size``.
+``newton`` packs the (c, x) grids of the commutative pair and the
+resultant's Sylvester entries (each the image of one c-column, width and
+stride 1), and ``qalgebra`` the (c, q) slices of the noncommutative pair.
+``slot_size`` is the slot rule of a recurrence step, for both walks.
 """
 
 from __future__ import annotations
 
 
-def slot_size(max_bits: int, terms: int) -> int:
-    """Bytes per slot for a sum of at most 3 * terms products of two coefficients.
+def slot_size(p: list[int], q: list[int]) -> int:
+    """Bytes per slot of one recurrence step on the cells of P and Q.
 
-    Each coefficient is below 2^max_bits in absolute value, so the sum is
-    below 2^(2 max_bits + bitlen(terms) + 2); one more bit holds the sign.
+    A coefficient of P' or Q' sums at most 3 * terms products of two
+    coefficients, terms being the larger count of nonzero cells.  Each
+    coefficient is below 2^max_bits in absolute value, so the sum is below
+    2^(2 max_bits + bitlen(terms) + 2); one more bit holds the sign.
     """
+    terms = max(len(p) - p.count(0), len(q) - q.count(0))
+    max_bits = max(map(int.bit_length, p + q), default=0)
     return (2 * max_bits + terms.bit_length() + 3 + 7) // 8
 
 

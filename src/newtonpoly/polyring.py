@@ -180,9 +180,6 @@ class MultiPoly:
         i = self.varset.index(name)
         return max((m[i] for m in self._terms), default=0)
 
-    def coefficient(self, monomial: Monomial) -> int:
-        return self._terms.get(tuple(monomial), 0)
-
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in graded-lex order, highest first (the serialization order)."""
         return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)

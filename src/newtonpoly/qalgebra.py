@@ -161,12 +161,12 @@ def _nc_step(p: list[list[int]], q: list[list[int]],
              size: int) -> tuple[list[list[int]], list[list[int]]]:
     """One recurrence step on the slices of (P', Q'), each of x-degree ``size``.
 
-    A slot of P' or Q' sums at most 3 * terms products of two coefficients,
-    as in newton._step.
+    A slot of a twisted product, as of a grid product, pairs each cell of
+    one operand with at most one cell of the other, so ``slot_size`` of the
+    flattened slices sizes the slots.
     """
     stride = size * size + 1
-    terms = max(sum(len(cells) - cells.count(0) for cells in poly) for poly in (p, q))
-    slot = slot_size(max(max(map(int.bit_length, cells), default=0) for cells in p + q), terms)
+    slot = slot_size(*([cell for cells in poly for cell in cells] for poly in (p, q)))
     packed_p, packed_q = ([pack(cells, _width(size, e), stride, slot)
                            for e, cells in enumerate(poly)] for poly in (p, q))
     slot_bits = 8 * slot

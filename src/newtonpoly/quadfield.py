@@ -139,9 +139,8 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
             continue
         for _ in range(n):
             top, bottom = _times(top, top, d), _times(bottom, bottom, d)
-        if top == bottom:
-            traces.append(SampleTrace(z, "skipped", "phi(z)^(2^n) = 1, the image of infinity"))
-            continue
+        # phi(w) = 1 only at w = infinity, so top = bottom would mean N^n(z) = infinity,
+        # a pole iterate_value has already reported; hence norm below is nonzero.
         numerator = [x + y for x, y in zip(_times((s0 - b, s1), bottom, d),
                                            _times((s0 + b, s1), top, d))]
         conjugate = (2 * a * (bottom[0] - top[0]), 2 * a * (top[1] - bottom[1]))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from newtonpoly.newton import (
     CoprimalityReport,
     NewtonPair,
     QuadraticCoeffs,
+    _grid_resultant,
     coprimality_check,
     eval_pair,
     iterate_pair,
@@ -251,6 +253,15 @@ class TestResultant:
         report = coprimality_check(pair, trials=1, seed=0)
         assert report.method == "exact-resultant"
         assert report.resultant == sylvester_resultant(pair.p, pair.q, "x")
+
+    def test_grid_resultant_n4_closed_form(self):
+        # Res_x(P_n, Q_n) = a^((2^n - 1)^2) (b^2 - 4ac)^(2^(n-1) (2^n - 1)), the power
+        # expanded by the binomial theorem, independently of MultiPoly arithmetic.
+        n = 4
+        size, e = 2 ** n, 2 ** (n - 1) * (2 ** n - 1)
+        expected = MultiPoly(ABCX, {((size - 1) ** 2 + k, 2 * (e - k), k, 0):
+                                    comb(e, k) * (-4) ** k for k in range(e + 1)})
+        assert _grid_resultant(iterate_pair(n)) == expected
 
     def test_grid_resultant_refuses_a_term_off_the_grid(self):
         # b x^0 keeps deg_x and the leading coefficient of P_2, but its a, b, c

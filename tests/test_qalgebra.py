@@ -205,8 +205,7 @@ def test_twisted_slice_product_matches_nc_mul(size, left_terms, right_terms):
     left, right = (homogeneous(size, [t for t in terms if t[2] <= size])
                    for terms in (left_terms, right_terms))
     stride = 2 * WIDTH - 1 + size * size    # every twist (size - e1) e2 is at most size^2
-    slot = slot_size(max(map(int.bit_length, (*left._terms.values(), *right._terms.values())),
-                         default=0), max(len(left), len(right)))
+    slot = slot_size(list(left._terms.values()), list(right._terms.values()))
 
     def packed(poly):
         cells = [[0] * (ROWS * WIDTH) for _ in range(size + 1)]
