@@ -367,6 +367,14 @@ def _samples(text: str) -> tuple[Fraction, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: one parser with a subparser per command and suite.
+
+    It is built once, at import, as ``PARSER``, and ``main`` only reads it:
+    nothing is filled in later, and ``parse_args`` assigns no attribute of a
+    parser.  So ``set_defaults`` binds each command's handler and each
+    suite's check at import, and patching ``_cmd_*`` or ``_suite_*`` after
+    that does not reach ``main``.
+    """
     parser = _Parser(
         prog="newtonpoly",
         description="Exact construction and verification of Newton-iterate "
@@ -430,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = suite("conjugacy", _suite_conjugacy, "Newton map is conjugate to squaring")
     s.add_argument("--max-n", type=_int_at_least(1), default=4)
-    s.add_argument("--min-checked", type=int, default=10)
+    s.add_argument("--min-checked", type=_int_at_least(1), default=10)
     s.add_argument("--samples", type=_samples,
                    default="2,3,4,5,7,-2,1/2,1/3,2/3,5/4,-5/3,7/5,9/7,11/3,-7/2",
                    help="comma-separated exact sample points; a pole skips its sample")
@@ -449,13 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # Exact values may run past the interpreter's int/str digit limit, so lift
     # it for this call only; importing the library leaves it alone.
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import StructuralError
@@ -245,15 +246,13 @@ class MultiPoly:
         if len(a) > len(b):
             a, b = b, a
         out: dict[Monomial, int] = {}
+        get = out.get
         for mono_a, coeff_a in a.items():
             for mono_b, coeff_b in b.items():
-                mono = tuple(ea + eb for ea, eb in zip(mono_a, mono_b))
-                s = out.get(mono, 0) + coeff_a * coeff_b
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return MultiPoly._raw(self.varset, out)
+                mono = tuple(map(add, mono_a, mono_b))
+                out[mono] = get(mono, 0) + coeff_a * coeff_b
+        # Sums that cancelled are dropped once, so no zero is stored.
+        return MultiPoly._raw(self.varset, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 

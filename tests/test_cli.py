@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import subprocess
@@ -260,6 +261,8 @@ class TestVerify:
         ("coprime", "--max-n", "-1"),
         ("qconjecture", "--max-n", "-3"),
         ("conjugacy", "--max-n", "0"),
+        ("conjugacy", "--min-checked", "0"),
+        ("conjugacy", "--min-checked", "-5"),
         ("lemma1", "--max-n", "0"),
         ("lemma1", "--max-n", "1"),
         ("qbinom", "--max-n", "0"),
@@ -440,3 +443,46 @@ class TestDigitLimit:
                          "--x", HUGE_SAMPLE]) == 0
         assert sys.get_int_max_str_digits() == before
         assert len(capsys.readouterr().out) > 4300
+
+
+def all_parsers(parser):
+    """The parser and every subparser below it, top first."""
+    found = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                found += all_parsers(child)
+    return found
+
+
+EVAL_ARGV = ["eval", "--n", "2", "--a", "1", "--b", "0", "--c=-1", "--x", "2"]
+
+
+class TestPrebuiltParser:
+    """``main`` parses with ``cli.PARSER``, built at import and only read."""
+
+    def test_parsing_leaves_the_parser_unchanged(self, capsys):
+        parsers = all_parsers(cli.PARSER)
+        assert len(parsers) == 11
+        before = [parser.format_help() for parser in parsers]
+        assert cli.main(EVAL_ARGV) == 0                                          # pass
+        assert cli.main(["eval", "--n", "1", "--a", "1", "--b", "0", "--c=-1",
+                         "--x", "1/0"]) == 2                                     # bad rational
+        assert cli.main(["generate", "--n", "12"]) == 3                         # cap refusal
+        assert cli.main(["eval", "--n", "1", "--a", "1", "--b", "0", "--c=-1",
+                         "--x", "0"]) == 1                                       # domain error
+        capsys.readouterr()
+        assert [parser.format_help() for parser in parsers] == before
+
+    @pytest.mark.parametrize("argv", [EVAL_ARGV, ["verify", "conjugacy"],
+                                      ["generate", "--n", "3", "--method", "closed"]],
+                             ids=" ".join)
+    def test_same_argv_same_namespace(self, argv):
+        assert vars(cli.PARSER.parse_args(argv)) == vars(cli.PARSER.parse_args(argv))
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("main built a parser")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert cli.main(EVAL_ARGV) == 0
+        assert capsys.readouterr().out == "41/40\n"

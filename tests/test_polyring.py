@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newtonpoly.errors import StructuralError
-from newtonpoly.polyring import ABCX, XY, MultiPoly, VariableSet, divexact
+from newtonpoly.polyring import ABCQXY, ABCX, XY, MultiPoly, VariableSet, divexact
 
 from conftest import random_poly
 
@@ -124,6 +124,50 @@ class TestRingAxioms:
             for e in range(9):
                 assert p ** e == acc
                 acc = acc * p
+
+
+def pairwise_product(p: MultiPoly, r: MultiPoly) -> dict:
+    """The product's terms by the slow loop: a zero test per term pair."""
+    out = {}
+    for mono_a, coeff_a in p.sorted_terms():
+        for mono_b, coeff_b in r.sorted_terms():
+            mono = tuple(ea + eb for ea, eb in zip(mono_a, mono_b))
+            s = out.get(mono, 0) + coeff_a * coeff_b
+            if s:
+                out[mono] = s
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+@st.composite
+def operands(draw):
+    """Two polynomials over one variable set, with coefficients in +-3 so sums cancel."""
+    varset = draw(st.sampled_from([XY, ABCX, ABCQXY]))
+    mono = st.tuples(*[st.integers(0, 2)] * len(varset))
+    coeff = st.integers(-3, 3).filter(bool)
+    return tuple(MultiPoly(varset, draw(st.dictionaries(mono, coeff, max_size=8)))
+                 for _ in range(2))
+
+
+class TestMulDifferential:
+    """``__mul__`` against the slow loop, on operands whose products cancel."""
+
+    @staticmethod
+    def check(p: MultiPoly, r: MultiPoly) -> None:
+        product = p * r
+        assert dict(product.sorted_terms()) == pairwise_product(p, r)
+        assert all(coeff for _, coeff in product.sorted_terms())
+
+    @given(operands())
+    def test_matches_the_pairwise_loop(self, pair):
+        self.check(*pair)
+
+    def test_middle_terms_cancel(self):
+        x, y = MultiPoly.variable(XY, "x"), MultiPoly.variable(XY, "y")
+        self.check(x + y, x - y)
+        self.check(x * x + x * y + y * y, x - y)
+        assert len((x + y) * (x - y)) == len((x * x + x * y + y * y) * (x - y)) == 2
 
 
 class TestEvaluate:
