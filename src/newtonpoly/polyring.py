@@ -328,7 +328,7 @@ class MultiPoly:
                 coeff *= table[mono[i]]
             if coeff == 0:
                 continue
-            new_mono = tuple(mono[i] for i in keep)
+            new_mono = tuple(map(mono.__getitem__, keep))
             s = out.get(new_mono, 0) + coeff
             if s:
                 out[new_mono] = s

@@ -6,25 +6,23 @@ squaring via the fractional linear map sending the roots to 0 and infinity:
     phi(t) = (t - r1) / (t - r2),      N = phi^-1 . (. ^2) . phi
 
 Values are integer pairs (u, v) standing for u + v s, with d = b^2 - 4ac of
-any sign.  The conjugacy check evaluates both sides at rational samples; there
-a square d maps s to its principal root isqrt(d), a ring homomorphism, so
-z = r2 is a real pole and a rational value has v = 0.
+any sign, and s stays formal for every d.  Both routes below take one power
+A = u + v s and read its partner B = u - v s as sigma(A), where sigma maps s
+to -s: sigma is a ring automorphism of Z[s]/(s^2 - d) for every d, so the
+power of the conjugate is the conjugate of the power.
 
 This module also supplies the third, independent construction of (P_n, Q_n):
 the symmetric root-form expressions in r1, r2 = (-b +/- s)/(2a).
-With N = 2^n, A = (2a x + b + s)^N and B = (2a x + b - s)^N, the powers of a
-cancel and
+With N = 2^n, A = (2a x + b + s)^N = U + V s and B = sigma(A) = U - V s, the
+powers of a and every s cancel:
 
-    Q_n = (A - B) / (2^N s)        P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s)
+    Q_n = (A - B) / (2^N s) = V / 2^(N-1)
+    P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s) = (U - b V) / (2^N a)
 
-A and B are expanded separately.  Both identities above hold in
-Z[a, b, c, x][s]/(s^2 - d), where 1, s is a basis, so specializing a, b, c
-keeps every u part zero and every v part equal to its symbolic value, even
-when d is a perfect square: s stays formal here and is never mapped to
-isqrt(d).  The check that the radical parts cancel sits at the division by
-s, where each numerator's u part must be 0, and runs for every input; one
-exact divmod by the integer denominator follows.  Either failure raises
-DomainError.
+These identities hold in Z[a, b, c, x][s]/(s^2 - d), where 1, s is a basis,
+so specializing a, b, c keeps them, even when d is a perfect square.  Each
+integer numerator is then divided exactly by its integer denominator; a
+remainder raises DomainError.
 """
 
 from __future__ import annotations
@@ -108,13 +106,16 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
                     cap: int = DEFAULT_CAP) -> ConjugacyReport:
     """Check N^n(z) = phi^-1(phi(z)^(2^n)) exactly at each sample.
 
-    For z = p/q and t = 2ap + bq, phi(z) = (t - q s) / (t + q s) = A / B, so
-    phi(z)^(2^n) is A and B squared n times, and
+    For z = p/q and t = 2ap + bq, phi(z) = w / sigma(w) with w = t - q s, so
+    phi(z)^(2^n) = A / sigma(A) for A = w^(2^n) = u + v s, w squared n times,
+    and
 
-        phi^-1(A / B) = ((-b + s) B - (-b - s) A) / (2a (B - A)),
+        phi^-1(A / sigma(A)) = ((-b + s) sigma(A) - (-b - s) A) / (2a (sigma(A) - A))
+                             = -(u + b v) / (2a v).
 
-    rationalized once by the conjugate of its denominator.  Samples that hit a
-    pole on either route are skipped with the reason recorded; a skip is not a
+    s is formal for every d.  For a perfect-square d, isqrt(d) serves only to
+    name z = r2 (t = -q isqrt(d)), the pole of phi.  Samples that hit a pole
+    on either route are skipped with the reason recorded; a skip is not a
     failure.  n above ``cap`` is a ResourceCapError.
     """
     if n < 1:
@@ -123,7 +124,7 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
     d = _integer_radicand(coeffs)
     a, b = int(coeffs.a), int(coeffs.b)
     root = math.isqrt(d) if d > 0 else 0
-    s0, s1 = (root, 0) if root * root == d else (0, 1)      # s, or isqrt(d) for a square d
+    square = root * root == d       # d != 0: only a perfect-square d has a rational r2
     traces: list[SampleTrace] = []
     for raw in samples:
         z = Fraction(raw)
@@ -133,22 +134,17 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
             traces.append(SampleTrace(z, "skipped", f"newton route pole: {exc}"))
             continue
         t, q = 2 * a * z.numerator + b * z.denominator, z.denominator
-        top, bottom = (t - q * s0, -q * s1), (t + q * s0, q * s1)      # phi(z) = top / bottom
-        if bottom == (0, 0):
+        if square and t == -q * root:
             traces.append(SampleTrace(z, "skipped", "z equals r2, the pole of phi"))
             continue
+        u, v = t, -q                # w = t - q s
         for _ in range(n):
-            top, bottom = _times(top, top, d), _times(bottom, bottom, d)
-        # phi(w) = 1 only at w = infinity, so top = bottom would mean N^n(z) = infinity,
-        # a pole iterate_value has already reported; hence norm below is nonzero.
-        numerator = [x + y for x, y in zip(_times((s0 - b, s1), bottom, d),
-                                           _times((s0 + b, s1), top, d))]
-        conjugate = (2 * a * (bottom[0] - top[0]), 2 * a * (top[1] - bottom[1]))
-        u, v = _times(numerator, conjugate, d)
-        norm = conjugate[0] ** 2 - d * conjugate[1] ** 2
-        value = (Fraction(u, norm), Fraction(v, norm), d)
-        traces.append(SampleTrace(z, "ok", None, newton_value, value,
-                                  v == 0 and value[0] == newton_value))
+            u, v = _times((u, v), (u, v), d)
+        # v = 0 would mean A = sigma(A), phi(N^n(z)) = 1 and N^n(z) = infinity,
+        # a pole iterate_value has already reported.
+        value = Fraction(-(u + b * v), 2 * a * v)
+        traces.append(SampleTrace(z, "ok", None, newton_value, (value, Fraction(0), d),
+                                  value == newton_value))
     checked = sum(1 for t in traces if t.status == "ok")
     ok = all(t.match for t in traces if t.status == "ok") and checked > 0
     return ConjugacyReport(
@@ -159,11 +155,11 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
 
 # ---------------------------------------------------------------- root form
 
-def _expand(two_a: int, b: int, sign: int, d: int, size: int) -> list[tuple[int, int]]:
-    """Ascending coefficients of (2a x + b + sign s)^size in Z[s]/(s^2 - d).
+def _expand(two_a: int, b: int, d: int, size: int) -> list[tuple[int, int]]:
+    """Ascending coefficients of (2a x + b + s)^size in Z[s]/(s^2 - d).
 
-    The coefficient of x^k is C(size, k) (2a)^k (b + sign s)^(size - k), a
-    pair (u, v) standing for u + v s.
+    The coefficient of x^k is C(size, k) (2a)^k (b + s)^(size - k), a pair
+    (u, v) standing for u + v s.
     """
     scales = [1]                    # C(size, k) (2a)^k; each division below is exact
     for k in range(1, size + 1):
@@ -172,29 +168,22 @@ def _expand(two_a: int, b: int, sign: int, d: int, size: int) -> list[tuple[int,
     u, v = 1, 0
     for scale in reversed(scales):
         coeffs.append((scale * u, scale * v))
-        u, v = _times((u, v), (b, sign), d)
+        u, v = _times((u, v), (b, 1), d)
     coeffs.reverse()
     return coeffs
 
 
-def _integer_poly(numerators: Sequence[tuple[int, int]], denominator: int, d: int,
-                  name: str) -> MultiPoly:
-    """The polynomial over {x} whose x^k coefficient is numerators[k] / (s denominator).
+def _integer_poly(numerators: Sequence[int], denominator: int, name: str) -> MultiPoly:
+    """The polynomial over {x} whose x^k coefficient is numerators[k] / denominator.
 
-    A numerator (u, v) stands for u + v s, and (u + v s) / s = v + (u/d) s:
-    its u must be 0, or the coefficient keeps a radical part.  Every quotient
-    v / denominator must then be exact.  Either failure means the root form
-    did not reproduce an integer polynomial, and is reported.
+    Every quotient must be exact; a remainder means the root form did not
+    reproduce an integer polynomial, and is reported.
     """
     terms = {}
-    for power, (u, v) in enumerate(numerators):
-        if u:
-            raise DomainError(f"{name}: coefficient {Fraction(v, denominator)} + "
-                              f"{Fraction(u, d * denominator)}*sqrt({d}) of x^{power} "
-                              f"keeps a radical part")
-        quotient, remainder = divmod(v, denominator)
+    for power, numerator in enumerate(numerators):
+        quotient, remainder = divmod(numerator, denominator)
         if remainder:
-            raise DomainError(f"{name}: coefficient {Fraction(v, denominator)} "
+            raise DomainError(f"{name}: coefficient {Fraction(numerator, denominator)} "
                               f"of x^{power} is not an integer")
         if quotient:
             terms[(power,)] = quotient
@@ -208,25 +197,20 @@ def root_form_pair(coeffs: QuadraticCoeffs, n: int,
         P_n = a^(N - 1) (r1 (x - r2)^N - r2 (x - r1)^N) / (r1 - r2)
         Q_n = a^(N - 1) ((x - r2)^N - (x - r1)^N) / (r1 - r2)
 
-    with N = 2^n.  Writing s = sqrt(d), A = (2a x + b + s)^N and
-    B = (2a x + b - s)^N, the powers of a cancel and
+    with N = 2^n.  Writing s = sqrt(d), A = (2a x + b + s)^N = U + V s and
+    B = (2a x + b - s)^N = sigma(A) = U - V s, the powers of a cancel and
 
-        Q_n = (A - B) / (2^N s)
-        P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s)
+        Q_n = (A - B) / (2^N s) = V / 2^(N-1)
+        P_n = ((-b + s) A - (-b - s) B) / (2^(N+1) a s) = (U - b V) / (2^N a)
 
-    A and B are expanded separately in Z[s]/(s^2 - d), for every d.  Dividing
-    a numerator by s must leave no radical part, and dividing by the integer
-    denominator must be exact, else DomainError names the coefficient.
+    A alone is expanded, in Z[s]/(s^2 - d) with s formal for every d.  Each
+    division by the integer denominator must be exact, else DomainError names
+    the coefficient.
     """
     check_index(n, cap)
     d = _integer_radicand(coeffs)
     a, b = int(coeffs.a), int(coeffs.b)
     size = 2 ** n
-    plus = _expand(2 * a, b, 1, d, size)
-    minus = _expand(2 * a, b, -1, d, size)
-    # (u, v) and (w, y) stand for u + v s and w + y s
-    p = [(d * (v + y) - b * (u - w), u + w - b * (v - y))
-         for (u, v), (w, y) in zip(plus, minus)]
-    q = [(u - w, v - y) for (u, v), (w, y) in zip(plus, minus)]
-    return (_integer_poly(p, 2 ** (size + 1) * a, d, "P"),
-            _integer_poly(q, 2 ** size, d, "Q"))
+    power = _expand(2 * a, b, d, size)
+    return (_integer_poly([u - b * v for u, v in power], 2 ** size * a, "P"),
+            _integer_poly([v for _, v in power], 2 ** (size - 1), "Q"))

@@ -46,11 +46,15 @@ def _admissible_primes(bound: int, mode: str) -> tuple[int, list[int]]:
 
 @dataclass(frozen=True)
 class SmoothPart:
-    """Result of dividing out every admissible prime to full multiplicity."""
+    """Result of dividing out every admissible prime to full multiplicity.
+
+    ``factorization`` maps each prime of the smooth part to its multiplicity,
+    keyed in ascending prime order.
+    """
 
     smooth: bool
     residual: int
-    factorization: dict[int, int]    # prime -> multiplicity of the smooth part
+    factorization: dict[int, int]
 
     def reconstruct(self) -> int:
         value = self.residual
@@ -79,10 +83,11 @@ def _factor_over(value: int, top: int, primes: list[int]) -> SmoothPart:
             multiplicity += 1
         if multiplicity:
             factorization[prime] = multiplicity
-    # Once prime^2 exceeds it, what remains is 1 or a single prime; it counts
-    # as part of the smooth factorization only if it is admissible.
+    # Once prime^2 exceeds it, what remains is 1 or a single prime, larger than
+    # every prime divided out, so the keys stay ascending; it counts as part of
+    # the smooth factorization only if it is admissible.
     if 1 < remaining <= top:
-        factorization[remaining] = factorization.get(remaining, 0) + 1
+        factorization[remaining] = 1
         remaining = 1
     return SmoothPart(smooth=remaining == 1, residual=remaining,
                       factorization=factorization)
@@ -106,7 +111,7 @@ class SmoothnessEntry:
             "smooth": self.smooth,
             "residual": str(self.residual),
             "largest_prime_found": self.largest_prime_found,
-            "factorization": {str(p): m for p, m in sorted(self.factorization.items())},
+            "factorization": {str(p): m for p, m in self.factorization.items()},
         }
 
 

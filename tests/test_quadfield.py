@@ -10,7 +10,7 @@ from newtonpoly.errors import DomainError, ResourceCapError, StructuralError
 from newtonpoly import quadfield
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import X_ONLY, MultiPoly
-from newtonpoly.quadfield import conjugacy_check, root_form_pair
+from newtonpoly.quadfield import ConjugacyReport, SampleTrace, conjugacy_check, root_form_pair
 
 FIVE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
 # discriminants: 4, 1, 25, -4, 16 — add non-square ones so the radical
@@ -94,6 +94,47 @@ def differential_triples():
     return hand_picked + seeded
 
 
+def two_power_conjugacy(coeffs, n, samples):
+    """conjugacy_check(coeffs, n, samples).to_dict() by the two-power route.
+
+    phi(z) = top / bottom squares top and bottom separately; a perfect-square
+    d maps s to isqrt(d), and phi^-1 is rationalized by the conjugate of its
+    denominator.
+    """
+    d = int(coeffs.discriminant)
+    a, b = int(coeffs.a), int(coeffs.b)
+    root = math.isqrt(d) if d > 0 else 0
+    s0, s1 = (root, 0) if root * root == d else (0, 1)      # s, or isqrt(d) for a square d
+    traces = []
+    for raw in samples:
+        z = Fraction(raw)
+        try:
+            newton_value = iterate_value(coeffs, z, n)
+        except DomainError as exc:
+            traces.append(SampleTrace(z, "skipped", f"newton route pole: {exc}"))
+            continue
+        t, q = 2 * a * z.numerator + b * z.denominator, z.denominator
+        top, bottom = (t - q * s0, -q * s1), (t + q * s0, q * s1)      # phi(z) = top / bottom
+        if bottom == (0, 0):
+            traces.append(SampleTrace(z, "skipped", "z equals r2, the pole of phi"))
+            continue
+        for _ in range(n):
+            top, bottom = quadfield._times(top, top, d), quadfield._times(bottom, bottom, d)
+        numerator = [x + y for x, y in zip(quadfield._times((s0 - b, s1), bottom, d),
+                                           quadfield._times((s0 + b, s1), top, d))]
+        conjugate = (2 * a * (bottom[0] - top[0]), 2 * a * (top[1] - bottom[1]))
+        u, v = quadfield._times(numerator, conjugate, d)
+        norm = conjugate[0] ** 2 - d * conjugate[1] ** 2
+        value = (Fraction(u, norm), Fraction(v, norm), d)
+        traces.append(SampleTrace(z, "ok", None, newton_value, value,
+                                  v == 0 and value[0] == newton_value))
+    checked = sum(1 for t in traces if t.status == "ok")
+    ok = all(t.match for t in traces if t.status == "ok") and checked > 0
+    return ConjugacyReport(
+        coeffs=(a, b, int(coeffs.c)), n=n, traces=tuple(traces), checked=checked,
+        skipped=len(traces) - checked, verdict="pass" if ok else "fail").to_dict()
+
+
 class TestTimes:
     def test_multiplication_rule(self):
         # (1 + 2 sqrt5)(3 - sqrt5) = 3 - sqrt5 + 6 sqrt5 - 2*5 = -7 + 5 sqrt5
@@ -161,6 +202,24 @@ class TestConjugacy:
     @pytest.mark.parametrize("triple", AGREEMENT_TRIPLES)
     def test_agreement_n5_to_n8(self, triple):
         self.assert_agreement(triple, range(5, 9))    # up to the default cap
+
+    @pytest.mark.parametrize("triple", differential_triples())
+    def test_matches_two_power_route_up_to_n5(self, triple):
+        a, b, c = triple
+        d = b * b - 4 * a * c
+        root = math.isqrt(d) if d > 0 else 0
+        samples = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 4)})
+        samples.append(Fraction(-b, 2 * a))
+        if root * root == d:
+            samples += [Fraction(-b + root, 2 * a), Fraction(-b - root, 2 * a)]   # r1, r2
+        elif d > 0:
+            samples.append(Fraction(-b - root, 2 * a))    # t = -q isqrt(d), yet not r2
+        coeffs = QuadraticCoeffs(*triple)
+        for n in range(1, 6):
+            report = conjugacy_check(coeffs, n, samples).to_dict()
+            assert report == two_power_conjugacy(coeffs, n, samples)
+            if d > 0 and root * root != d:
+                assert report["traces"][-1]["status"] == "ok"
 
     def test_cap(self):
         coeffs = QuadraticCoeffs(1, 0, -1)
@@ -232,26 +291,23 @@ class TestRootForm:
             root_form_pair(QuadraticCoeffs(Fraction(1, 2), 0, -1), 1)
 
     @pytest.mark.parametrize("triple, extra, message", [
-        ((1, 1, -1), (0, 1), "keeps a radical part"),
-        ((1, 1, -1), (1, 0), "is not an integer"),
-        ((1, 0, -1), (0, 1), "keeps a radical part"),
-    ], ids=["radical", "fraction", "radical-square-d"])
+        ((1, 1, -1), (1, 0), "P: coefficient 33/16 of x\\^0 is not an integer"),
+        ((1, 0, -1), (0, 1), "Q: coefficient 1/8 of x\\^0 is not an integer"),
+    ], ids=["fraction", "fraction-q"])
     def test_coefficient_guard(self, monkeypatch, triple, extra, message):
-        # Shift the constant term of both expansions A and B by e = u + v s:
-        # P's numerator gains 2 s e, so its constant coefficient gains
-        # e / (2^N a), which the guard must refuse to round away.  With
-        # d = 4 a perfect square, s stays formal in Z[s]/(s^2 - 4), so the
-        # radical check runs there too.
+        # Shift the constant coefficient of A = U + V s by e = u + v s: P's
+        # constant coefficient gains (u - b v) / (2^N a) and Q's gains
+        # v / 2^(N-1), fractions the guard must refuse to round away.
         expand = quadfield._expand
 
-        def shifted(two_a, b, sign, d, size):
-            coeffs = expand(two_a, b, sign, d, size)
+        def shifted(two_a, b, d, size):
+            coeffs = expand(two_a, b, d, size)
             u, v = coeffs[0]
             coeffs[0] = (u + extra[0], v + extra[1])
             return coeffs
 
         monkeypatch.setattr(quadfield, "_expand", shifted)
-        with pytest.raises(DomainError, match=f"P: coefficient .* of x\\^0 {message}"):
+        with pytest.raises(DomainError, match=message):
             root_form_pair(QuadraticCoeffs(*triple), 2)
 
 

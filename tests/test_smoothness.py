@@ -61,6 +61,12 @@ class TestSmoothPart:
         else:
             assert part.residual > bound
 
+    @given(st.integers(1, 10 ** 9), st.integers(2, 64), st.sampled_from(smoothness.MODES))
+    def test_factorization_keys_ascending(self, value, bound, mode):
+        # The report serializes the factorization in key order, unsorted.
+        primes = list(smooth_part(value, bound, mode).factorization)
+        assert all(p < q for p, q in zip(primes, primes[1:]))
+
 
 class TestCertifyPair:
     def test_n2_all_smooth(self):
