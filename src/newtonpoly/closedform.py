@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TypeVar
 
-from .errors import DEFAULT_CAP, check_index
+from .errors import DEFAULT_CAP, StructuralError, check_index
 from .polyring import ABCX, XY, Monomial, MultiPoly
 
 T = TypeVar("T")
@@ -167,6 +167,8 @@ class IdentityCheckReport:
 
 def lemma1_check(max_n: int) -> IdentityCheckReport:
     """Assert lemma1_rhs(n) == x^n - y^n as canonical polynomials for 1 <= n <= max_n."""
+    if max_n < 1:
+        raise StructuralError(f"max_n must be at least 1 to check anything, got {max_n}")
     for n in range(1, max_n + 1):
         if lemma1_rhs(n) != power_difference(n):
             return IdentityCheckReport("power-difference identity", max_n, False, n)
@@ -178,6 +180,8 @@ def lemma1_recurrence_check(max_n: int) -> IdentityCheckReport:
 
     T is the generated right-hand side, with T(0) = 0; checked for 2 <= n <= max_n.
     """
+    if max_n < 2:
+        raise StructuralError(f"max_n must be at least 2 to check anything, got {max_n}")
     xy = MultiPoly.term(XY, 1, x=1, y=1)
     prev2 = MultiPoly.zero(XY)
     prev1 = lemma1_rhs(1)

@@ -17,12 +17,20 @@ JSON schema used by every module::
 
 Coefficients are decimal strings (arbitrary precision), exponent arrays are
 parallel to ``vars`` and terms are listed in graded-lex order, highest first.
+
+A term map is built one of two ways.  Records that are distinct by
+construction go straight to ``MultiPoly._raw``.  Everything else is summed
+into one dict with no per-item zero test, then cleaned once with
+``{m: c for m, c in out.items() if c}``.  Two loops clean per item instead:
+``_combine``, which adds a small map into a copy of a large one, and
+``divexact``, which must see each cancellation to find the next leading term.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -104,21 +112,19 @@ class MultiPoly:
     def __init__(self, varset: VariableSet, terms: Mapping[Monomial, int] | None = None):
         self.varset = varset
         width = len(varset)
-        clean: dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != width:
-                    raise StructuralError(
-                        f"exponent tuple {mono!r} does not match variables {varset.names}")
-                # type(), not isinstance(): a bool (JSON true/false) is not a number.
-                if not all(type(e) is int and e >= 0 for e in mono):
-                    raise StructuralError(f"exponents must be nonnegative integers: {mono!r}")
-                if type(coeff) is not int:
-                    raise StructuralError(f"coefficient {coeff!r} is not an integer")
-                if coeff:
-                    clean[tuple(mono)] = clean.get(tuple(mono), 0) + coeff
-            clean = {m: c for m, c in clean.items() if c}
-        self._terms = clean
+        out: dict[Monomial, int] = {}
+        for mono, coeff in (terms or {}).items():
+            if len(mono) != width:
+                raise StructuralError(
+                    f"exponent tuple {mono!r} does not match variables {varset.names}")
+            # type(), not isinstance(): a bool (JSON true/false) is not a number.
+            if not all(type(e) is int and e >= 0 for e in mono):
+                raise StructuralError(f"exponents must be nonnegative integers: {mono!r}")
+            if type(coeff) is not int:
+                raise StructuralError(f"coefficient {coeff!r} is not an integer")
+            mono = tuple(mono)
+            out[mono] = out.get(mono, 0) + coeff
+        self._terms = {m: c for m, c in out.items() if c}
 
     @classmethod
     def _raw(cls, varset: VariableSet, terms: dict[Monomial, int]) -> "MultiPoly":
@@ -213,6 +219,7 @@ class MultiPoly:
             return NotImplemented
         self._check_varset(other)
         out = dict(self._terms)
+        # Cleaned per item: a final pass would walk all of the (often much larger) copy.
         for mono, coeff in other._terms.items():
             held = out.get(mono, 0)
             # A branch, not sign * coeff: multiplying big coefficients costs more.
@@ -251,7 +258,6 @@ class MultiPoly:
             for mono_b, coeff_b in b.items():
                 mono = tuple(map(add, mono_a, mono_b))
                 out[mono] = get(mono, 0) + coeff_a * coeff_b
-        # Sums that cancelled are dropped once, so no zero is stored.
         return MultiPoly._raw(self.varset, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
@@ -316,8 +322,8 @@ class MultiPoly:
             if not isinstance(value, int):
                 raise StructuralError(f"binding for {name!r} must be an integer")
         bound = {self.varset.index(name): value for name, value in bindings.items()}
-        keep = [i for i in range(len(self.varset)) if i not in bound]
-        remaining = VariableSet(self.varset.names[i] for i in keep)
+        kept = [i not in bound for i in range(len(self.varset))]
+        remaining = VariableSet(compress(self.varset.names, kept))
         if not self._terms:
             return MultiPoly.zero(remaining)
         tops = [max(column) for column in zip(*self._terms)]
@@ -326,15 +332,9 @@ class MultiPoly:
         for mono, coeff in self._terms.items():
             for i, table in tables:
                 coeff *= table[mono[i]]
-            if coeff == 0:
-                continue
-            new_mono = tuple(map(mono.__getitem__, keep))
-            s = out.get(new_mono, 0) + coeff
-            if s:
-                out[new_mono] = s
-            elif new_mono in out:
-                del out[new_mono]
-        return MultiPoly._raw(remaining, out)
+            new_mono = tuple(compress(mono, kept))
+            out[new_mono] = out.get(new_mono, 0) + coeff
+        return MultiPoly._raw(remaining, {m: c for m, c in out.items() if c})
 
     # ------------------------------------------------------------------ comparison
 
@@ -416,15 +416,12 @@ def nc_mul(left: MultiPoly, right: MultiPoly) -> MultiPoly:
             f"nc_mul needs polynomials over {ABCQXY.names}, "
             f"got {left.varset.names} and {right.varset.names}")
     out: dict[Monomial, int] = {}
+    get = out.get
     for (a1, b1, c1, q1, i1, j1), coeff_l in left._terms.items():
         for (a2, b2, c2, q2, i2, j2), coeff_r in right._terms.items():
             mono = (a1 + a2, b1 + b2, c1 + c2, q1 + q2 + j1 * i2, i1 + i2, j1 + j2)
-            s = out.get(mono, 0) + coeff_l * coeff_r
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-    return MultiPoly._raw(ABCQXY, out)
+            out[mono] = get(mono, 0) + coeff_l * coeff_r
+    return MultiPoly._raw(ABCQXY, {m: c for m, c in out.items() if c})
 
 
 def divexact(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
@@ -450,6 +447,7 @@ def divexact(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
         if r != 0 or any(e < 0 for e in step):
             raise ArithmeticError("inexact polynomial division")
         quotient[step] = q
+        # Cleaned per item: the next leading term must come from nonzero terms.
         for mono, coeff in div_terms.items():
             target = tuple(e + s for e, s in zip(mono, step))
             s = remainder.get(target, 0) - q * coeff

@@ -117,14 +117,17 @@ _Y_INDEX = ABCQXY.index("y")
 
 def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
     """Check (x + y)^n = sum_k [n, k]_q x^k y^(n-k) for 1 <= n <= max_n."""
+    if max_n < 1:
+        raise StructuralError(f"max_n must be at least 1 to check anything, got {max_n}")
     x_plus_y = _X + _Y
     power = _ONE
     for n, row in zip(range(1, max_n + 1), islice(qbinomial_rows(), 1, None)):
         power = nc_mul(power, x_plus_y)
-        # [n, k] over (a, b, c, q) attached to the word x^k y^(n - k)
-        expected = MultiPoly(ABCQXY, {(a, b, c, q, k, n - k): value
-                                      for k, coeff in enumerate(row)
-                                      for (a, b, c, q), value in coeff.sorted_terms()})
+        # [n, k] over (a, b, c, q) attached to the word x^k y^(n - k): k and the power
+        # of q name each term, so the terms are distinct.
+        expected = MultiPoly._raw(ABCQXY, {(a, b, c, q, k, n - k): value
+                                           for k, coeff in enumerate(row)
+                                           for (a, b, c, q), value in coeff._terms.items()})
         if power != expected:
             return IdentityCheckReport("q-binomial theorem", max_n, False, n)
     return IdentityCheckReport("q-binomial theorem", max_n, True)
@@ -241,7 +244,7 @@ class QConjectureReport:
 
 def _first_differing_word(left: MultiPoly, right: MultiPoly) -> Word | None:
     """The largest word x^i y^j, by (i + j, i), whose coefficients differ."""
-    words = {(mono[_X_INDEX], mono[_Y_INDEX]) for mono, _ in (left - right).sorted_terms()}
+    words = ((mono[_X_INDEX], mono[_Y_INDEX]) for mono in (left - right)._terms)
     return max(words, key=lambda w: (w[0] + w[1], w[0]), default=None)
 
 

@@ -119,7 +119,7 @@ def conjugacy_check(coeffs: QuadraticCoeffs, n: int, samples: Iterable[Fraction 
     failure.  n above ``cap`` is a ResourceCapError.
     """
     if n < 1:
-        raise ValueError(f"iteration count must be positive, got {n}")
+        raise StructuralError(f"iteration count must be positive, got {n}")
     check_index(n, cap)
     d = _integer_radicand(coeffs)
     a, b = int(coeffs.a), int(coeffs.b)

@@ -170,7 +170,7 @@ def certify_pair(pair: NewtonPair, mode: str = "inclusive") -> SmoothnessReport:
             entries.append(SmoothnessEntry(
                 poly=name, monomial=monomial, coefficient_abs=magnitude,
                 smooth=part.smooth, residual=part.residual,
-                largest_prime_found=max(part.factorization, default=None),
+                largest_prime_found=next(reversed(part.factorization), None),
                 factorization=part.factorization))
             max_abs = max(max_abs, magnitude)
             if magnitude > bound:

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from newtonpoly import cli, closedform, qalgebra
+from newtonpoly import cli, closedform, qalgebra, quadfield
+from newtonpoly.errors import StructuralError
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import MultiPoly
 
@@ -283,6 +284,21 @@ class TestVerify:
         assert result.stderr.startswith("usage error:")
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("check", [
+        lambda: closedform.lemma1_check(0),
+        lambda: closedform.lemma1_check(-3),
+        lambda: closedform.lemma1_recurrence_check(1),
+        lambda: closedform.lemma1_recurrence_check(0),
+        lambda: qalgebra.qbinomial_theorem_check(0),
+        lambda: qalgebra.qbinomial_theorem_check(-1),
+        lambda: quadfield.conjugacy_check(QuadraticCoeffs(1, 0, -2), 0, [1]),
+    ], ids=["lemma1-0", "lemma1--3", "recurrence-1", "recurrence-0", "qbinom-0", "qbinom--1",
+            "conjugacy-0"])
+    def test_library_check_refuses_a_range_that_checks_nothing(self, check):
+        # The library, like the CLI's minimums above, refuses rather than pass vacuously.
+        with pytest.raises(StructuralError, match="must be"):
+            check()
 
     def test_qconjecture_cap_bounds_commutative_range(self):
         result = run_cli("verify", "qconjecture", "--max-n", "0", "--commutative-max-n", "5")

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from newtonpoly.errors import StructuralError
-from newtonpoly.polyring import ABCQXY, ABCX, XY, MultiPoly, VariableSet, divexact
+from newtonpoly.polyring import ABCQXY, ABCX, XY, MultiPoly, VariableSet, divexact, nc_mul
 
 from conftest import random_poly
 
@@ -140,14 +140,21 @@ def pairwise_product(p: MultiPoly, r: MultiPoly) -> dict:
     return out
 
 
+def polynomials(varset, max_exps=None):
+    """Polynomials over ``varset`` with coefficients in +-3, so sums cancel.
+
+    Each exponent is at most 2, or its entry of ``max_exps``.
+    """
+    mono = st.tuples(*[st.integers(0, top) for top in max_exps or [2] * len(varset)])
+    coeff = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(mono, coeff, max_size=8).map(lambda terms: MultiPoly(varset, terms))
+
+
 @st.composite
 def operands(draw):
     """Two polynomials over one variable set, with coefficients in +-3 so sums cancel."""
     varset = draw(st.sampled_from([XY, ABCX, ABCQXY]))
-    mono = st.tuples(*[st.integers(0, 2)] * len(varset))
-    coeff = st.integers(-3, 3).filter(bool)
-    return tuple(MultiPoly(varset, draw(st.dictionaries(mono, coeff, max_size=8)))
-                 for _ in range(2))
+    return draw(polynomials(varset)), draw(polynomials(varset))
 
 
 class TestMulDifferential:
@@ -168,6 +175,84 @@ class TestMulDifferential:
         self.check(x + y, x - y)
         self.check(x * x + x * y + y * y, x - y)
         assert len((x + y) * (x - y)) == len((x * x + x * y + y * y) * (x - y)) == 2
+
+
+def per_term_substitute(p: MultiPoly, bindings: dict) -> dict:
+    """The substitution's terms by the slow loop: a zero test per term."""
+    bound = {p.varset.index(name): value for name, value in bindings.items()}
+    keep = [i for i in range(len(p.varset)) if i not in bound]
+    out = {}
+    for mono, coeff in p.sorted_terms():
+        for i, value in bound.items():
+            coeff *= value ** mono[i]
+        if coeff == 0:
+            continue
+        new_mono = tuple(mono[i] for i in keep)
+        s = out.get(new_mono, 0) + coeff
+        if s:
+            out[new_mono] = s
+        elif new_mono in out:
+            del out[new_mono]
+    return out
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial and values in -2..2 for a nonempty subset of its variables."""
+    varset = draw(st.sampled_from([ABCX, ABCQXY]))
+    names = draw(st.lists(st.sampled_from(varset.names), min_size=1, unique=True))
+    return draw(polynomials(varset)), {name: draw(st.integers(-2, 2)) for name in names}
+
+
+class TestSubstituteDifferential:
+    """``substitute`` against the slow loop; 0 and 1 make terms vanish and sums cancel."""
+
+    @given(substitutions())
+    @example((MultiPoly(ABCX, {(1, 0, 0, 1): 1, (0, 0, 0, 1): -1, (0, 1, 0, 0): 2}),
+              {"a": 1, "b": 0}))
+    def test_matches_the_per_term_loop(self, case):
+        p, bindings = case
+        result = p.substitute(bindings)
+        assert result.varset.names == tuple(n for n in p.varset if n not in bindings)
+        assert dict(result.sorted_terms()) == per_term_substitute(p, bindings)
+        assert all(coeff for _, coeff in result.sorted_terms())
+
+
+def pairwise_nc_product(p: MultiPoly, r: MultiPoly) -> dict:
+    """The q-algebra product's terms by the slow loop: a zero test per term pair."""
+    out = {}
+    for (a1, b1, c1, q1, i1, j1), coeff_l in p.sorted_terms():
+        for (a2, b2, c2, q2, i2, j2), coeff_r in r.sorted_terms():
+            mono = (a1 + a2, b1 + b2, c1 + c2, q1 + q2 + j1 * i2, i1 + i2, j1 + j2)
+            s = out.get(mono, 0) + coeff_l * coeff_r
+            if s:
+                out[mono] = s
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+class TestNcMulDifferential:
+    """``nc_mul`` against the slow loop, on operands whose products cancel."""
+
+    @staticmethod
+    def check(p: MultiPoly, r: MultiPoly) -> None:
+        product = nc_mul(p, r)
+        assert dict(product.sorted_terms()) == pairwise_nc_product(p, r)
+        assert all(coeff for _, coeff in product.sorted_terms())
+
+    # a and b add like c, so only c, q, x, y vary, each up to 1: with few
+    # monomials, products collide and cancel often.
+    @given(*[polynomials(ABCQXY, max_exps=(0, 0, 1, 1, 1, 1))] * 2)
+    def test_matches_the_pairwise_loop(self, p, r):
+        self.check(p, r)
+
+    def test_twisted_terms_cancel(self):
+        x, y = MultiPoly.variable(ABCQXY, "x"), MultiPoly.variable(ABCQXY, "y")
+        q = MultiPoly.variable(ABCQXY, "q")
+        # (x + y)(x - q y) = x^2 - q xy + yx - q y^2, and yx = q xy.
+        self.check(x + y, x - q * y)
+        assert nc_mul(x + y, x - q * y) == x * x - q * y * y
 
 
 class TestEvaluate:

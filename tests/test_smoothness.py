@@ -106,6 +106,12 @@ class TestCertifyPair:
         assert report.count_exceeding_bound == exceeding
         assert report.count_exceeding_bound * 2 > report.total_coefficients
 
+    @pytest.mark.parametrize("mode", ["inclusive", "strict"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_largest_prime_is_the_largest_factor(self, n, mode):
+        for entry in certify_pair(iterate_pair(n), mode).entries:
+            assert entry.largest_prime_found == max(entry.factorization, default=None)
+
     def test_entry_order_p_before_q_graded_lex(self):
         report = certify_pair(iterate_pair(2))
         names = [e.poly for e in report.entries]
