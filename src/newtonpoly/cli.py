@@ -362,8 +362,18 @@ def _rational(text: str) -> Fraction:
 
 
 def _samples(text: str) -> tuple[Fraction, ...]:
-    """argparse type: comma-separated exact sample points."""
-    return tuple(_rational(piece) for piece in text.split(","))
+    """argparse type: comma-separated exact sample points, no two equal.
+
+    A repeated point would count more than once toward --min-checked.
+    """
+    seen: dict[Fraction, str] = {}
+    for piece in text.split(","):
+        value = _rational(piece)
+        if value in seen:
+            raise argparse.ArgumentTypeError(
+                f"repeated sample {piece!r}, the same point as {seen[value]!r}")
+        seen[value] = piece
+    return tuple(seen)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Newton iterate pair via the recurrence, plus coprimality certification.
+"""Newton iterate pair via the recurrence, the stepwise map, and coprimality certificates.
 
 The pair (P_n, Q_n) is grown by the squaring recurrence
 
@@ -21,6 +21,13 @@ and unpacks the result.  The grading fixes the layout: at x-degree N a row
 holds N + 1 cells, packed at stride 2N + 1, and P' has N + 1 rows, Q' N.
 The grid becomes an (a, b, c, x) polynomial once, after the last step.  The
 recurrence never consults the closed form.
+
+The stepwise route (newton_step, iterate_value), which eval and the
+conjugacy check compare with P_n/Q_n at exact points, runs the literal map
+z - f(z)/f'(z) on an integer pair z = p/q, with one gcd per step.  It does
+not use the simplified (a z^2 - c)/(2a z + b): that is the recurrence's own
+step (a P^2 - c Q^2, 2a P Q + b Q^2), and a check built on it would not be
+independent of the pair it checks.
 
 Relative primality of the pair is certified two ways, each in a named ring:
 
@@ -48,6 +55,7 @@ probe degrees are those over Q.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -125,20 +133,37 @@ class NewtonPair:
 
 def newton_step(coeffs: QuadraticCoeffs, z: Fraction | int) -> Fraction:
     """One exact Newton step z - f(z)/f'(z); pole at the critical point -b/2a."""
-    z = Fraction(z)
-    denominator = 2 * coeffs.a * z + coeffs.b
-    if denominator == 0:
-        critical = -coeffs.b / (2 * coeffs.a)
-        raise DomainError(f"Newton step undefined at the critical point z = {critical}")
-    return z - (coeffs.a * z * z + coeffs.b * z + coeffs.c) / denominator
+    return iterate_value(coeffs, z, 1)
 
 
 def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fraction:
-    """n-fold Newton step starting from z0; raises DomainError if any step poles."""
+    """n-fold Newton step z - f(z)/f'(z) from z0; DomainError if a step meets the pole.
+
+    z = p/q is stepped as a coprime integer pair with q > 0.  With f scaled
+    to integer coefficients A, B, C by the lcm of the denominators,
+    slope = 2Ap + Bq is scale q f'(z) and value = (Ap + Bq)p + Cq^2 is
+    scale q^2 f(z), so z - f(z)/f'(z) = (p slope - value)/(q slope),
+    reduced by one gcd.
+    """
+    if n < 0:
+        raise StructuralError(f"iteration index must be nonnegative, got {n}")
+    scale = math.lcm(coeffs.a.denominator, coeffs.b.denominator, coeffs.c.denominator)
+    big_a, big_b, big_c = (v.numerator * (scale // v.denominator)
+                           for v in (coeffs.a, coeffs.b, coeffs.c))
     z = Fraction(z0)
+    p, q = z.numerator, z.denominator
     for _ in range(n):
-        z = newton_step(coeffs, z)
-    return z
+        slope = 2 * big_a * p + big_b * q
+        if slope == 0:
+            critical = -coeffs.b / (2 * coeffs.a)
+            raise DomainError(f"Newton step undefined at the critical point z = {critical}")
+        value = (big_a * p + big_b * q) * p + big_c * q * q
+        p, q = p * slope - value, q * slope
+        divisor = math.gcd(p, q)
+        if q < 0:
+            divisor = -divisor
+        p, q = p // divisor, q // divisor
+    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------- packed recurrence

@@ -285,6 +285,23 @@ class TestVerify:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    # One point listed twice would count twice toward --min-checked.
+    @pytest.mark.parametrize("samples, message", [
+        ("2,2,2,2,2,4/2,2,2,2,2", "repeated sample '2', the same point as '2'"),
+        ("1/2,3,-7/2,0.5", "repeated sample '0.5', the same point as '1/2'"),
+        ("-1/3,4,-2/6", "repeated sample '-2/6', the same point as '-1/3'"),
+    ])
+    def test_repeated_sample_is_usage_error(self, samples, message):
+        result = run_cli("verify", "conjugacy", "--max-n", "1", "--min-checked", "10",
+                         f"--samples={samples}")
+        assert result.returncode == 2
+        assert result.stderr == ("usage error: newtonpoly verify conjugacy: "
+                                 f"argument --samples: {message}\n")
+        assert result.stdout == ""
+
+    def test_distinct_samples_keep_their_order(self):
+        assert cli._samples("3,-1/2,0.25,1e1") == (3, Fraction(-1, 2), Fraction(1, 4), 10)
+
     @pytest.mark.parametrize("check", [
         lambda: closedform.lemma1_check(0),
         lambda: closedform.lemma1_check(-3),

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from newtonpoly.closedform import closed_p, closed_q
 from newtonpoly.errors import DomainError, ResourceCapError, StructuralError
@@ -61,6 +62,33 @@ def rational_gcd_degree(pair, a, b, c):
     return len(u) - 1 if u else -1
 
 
+def fraction_iterate_value(coeffs, z0, n):
+    """The stepwise Newton map z - f(z)/f'(z) in Fraction arithmetic, one step at a time."""
+    z = Fraction(z0)
+    for _ in range(n):
+        denominator = 2 * coeffs.a * z + coeffs.b
+        if denominator == 0:
+            critical = -coeffs.b / (2 * coeffs.a)
+            raise DomainError(f"Newton step undefined at the critical point z = {critical}")
+        z = z - (coeffs.a * z * z + coeffs.b * z + coeffs.c) / denominator
+    return z
+
+
+def outcome(step, *args):
+    """The value of ``step(*args)``, or the text of the DomainError it raises."""
+    try:
+        return step(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+# Denominators of either sign, so a, b and c scale by different lcms.
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(-12, 12).filter(bool))
+nonzero_rationals = rationals.filter(bool)
+huge_rationals = st.builds(Fraction, st.integers(-2**200, 2**200),
+                          st.integers(-2**100, 2**100).filter(bool))
+
+
 class TestQuadraticCoeffs:
     def test_coerces_to_fractions(self):
         coeffs = QuadraticCoeffs(1, -3, 2)
@@ -92,6 +120,50 @@ class TestNewtonStep:
         with pytest.raises(DomainError) as err:
             newton_step(QuadraticCoeffs(1, -3, 2), Fraction(3, 2))
         assert "3/2" in str(err.value)
+
+    def test_negative_step_count_is_structural_error(self):
+        with pytest.raises(StructuralError, match="must be nonnegative, got -3"):
+            iterate_value(QuadraticCoeffs(1, 0, -1), 2, -3)
+
+
+class TestIntegerOrbit:
+    """iterate_value on integer pairs against the Fraction loop, pole messages included."""
+
+    @given(nonzero_rationals, rationals, rationals,
+           st.one_of(rationals, st.just(Fraction(0)), huge_rationals), st.integers(0, 8))
+    @example(Fraction(3, 2), Fraction(-7, 3), Fraction(1, 5), Fraction(4, 3), 8)
+    @example(Fraction(1, -4), Fraction(5, 6), Fraction(-7, 10), Fraction(0), 8)
+    @example(Fraction(2), Fraction(-6), Fraction(1), Fraction(3, 2), 1)      # z = -b/2a
+    @example(Fraction(1), Fraction(0), Fraction(-1), Fraction(10**301 + 1, 7), 4)
+    def test_matches_the_fraction_loop(self, a, b, c, z, n):
+        coeffs = QuadraticCoeffs(a, b, c)
+        stepped = outcome(iterate_value, coeffs, z, n)
+        assert stepped == outcome(fraction_iterate_value, coeffs, z, n)
+        assert isinstance(stepped, (Fraction, str))
+        assert outcome(newton_step, coeffs, z) == outcome(iterate_value, coeffs, z, 1)
+
+    @given(nonzero_rationals, rationals, rationals, st.integers(0, 8))
+    @example(Fraction(-2, 3), Fraction(1, 2), Fraction(5, -4), 8)
+    def test_a_root_is_a_fixed_point(self, a, r1, r2, n):
+        # f = a (x - r1)(x - r2); a double root is the critical point, a pole.
+        coeffs = QuadraticCoeffs(a, -a * (r1 + r2), a * r1 * r2)
+        stepped = outcome(iterate_value, coeffs, r1, n)
+        assert stepped == outcome(fraction_iterate_value, coeffs, r1, n)
+        if r1 != r2:
+            assert stepped == r1
+
+    @given(nonzero_rationals, rationals, nonzero_rationals, st.integers(2, 8))
+    @example(Fraction(1), Fraction(0), Fraction(1), 2)
+    def test_pole_first_met_at_step_two(self, a, h, m, n):
+        # f = a ((x - h)^2 + m^2): the step from h + m lands on h = -b/2a, so
+        # step 2 poles.  No rational orbit meets the pole later than step 2:
+        # phi(z)^(2^(k-1)) = -1 needs a 2^k-th root of unity in Q(sqrt d).
+        coeffs = QuadraticCoeffs(a, -2 * a * h, a * (h * h + m * m))
+        assert newton_step(coeffs, h + m) == h
+        with pytest.raises(DomainError) as err:
+            iterate_value(coeffs, h + m, n)
+        assert f"DomainError: {err.value}" == outcome(fraction_iterate_value, coeffs, h + m, n)
+        assert str(err.value).endswith(f"z = {h}")
 
 
 class TestIteratePair:
