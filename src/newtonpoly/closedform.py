@@ -9,13 +9,20 @@ entry of the row of the power-difference identity (Lemma 1)
 and each (k, j) contributes exactly one term.  In audit mode the same loops
 emit one provenance record per monomial, so the binomial structure of every
 coefficient (what bounds its prime factors) can be inspected downstream.
-The machine checks of the identity itself live here too.
+
+The machine checks of the identity itself live here too.  Every summand of
+its right-hand side is homogeneous of degree m, so lemma1_rhs expands it on
+one integer row of coefficients of x^e y^(m-e) and lemma1_check compares the
+result with x^m - y^m.  lemma1_recurrence_check checks the induction step
+T(m) = (x+y) T(m-1) - xy T(m-2) on those right-hand sides with MultiPoly
+arithmetic, independently of the row expansion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterator, Sequence, TypeVar
 
 from .errors import DEFAULT_CAP, StructuralError, check_index
@@ -27,7 +34,7 @@ T = TypeVar("T")
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k), with C(n, k) = 0 outside 0 <= k <= n.
 
-    The closed-form sums do not lean on it: lemma1_row stops at its last nonzero entry.
+    lemma1_row does not call it: it walks its diagonal from C(m-1, 0) = 1.
     """
     if n < 0:
         raise ValueError(f"binomial row must be nonnegative, got {n}")
@@ -35,8 +42,15 @@ def binomial(n: int, k: int) -> int:
 
 
 def lemma1_row(m: int) -> list[int]:
-    """(-1)^j C(m-j-1, j) for 0 <= j <= m-j-1: Lemma 1's nonzero coefficients; empty at m = 0."""
-    return [(-1) ** j * binomial(m - j - 1, j) for j in range((m + 1) // 2)]
+    """(-1)^j C(m-j-1, j) for 0 <= j <= m-j-1: Lemma 1's nonzero coefficients; empty at m = 0.
+
+    Walks the diagonal by C(m-j-2, j+1) = C(m-j-1, j) (m-2j-1)(m-2j-2) / ((j+1)(m-j-1)),
+    one exact division per entry.
+    """
+    row = [1] if m > 0 else []
+    for j in range((m + 1) // 2 - 1):
+        row.append(-row[-1] * (m - 2 * j - 1) * (m - 2 * j - 2) // ((j + 1) * (m - j - 1)))
+    return row
 
 
 @dataclass(frozen=True)
@@ -125,10 +139,7 @@ def closed_audit(n: int, cap: int = DEFAULT_CAP) -> list[AuditRecord]:
 
 # ---------------------------------------------------------------- power-difference identity
 
-_X = MultiPoly.variable(XY, "x")
-_Y = MultiPoly.variable(XY, "y")
-_PLUS = _X + _Y
-_PLUS_SQUARED = _PLUS * _PLUS
+_PLUS = MultiPoly(XY, {(1, 0): 1, (0, 1): 1})
 
 
 def power_difference(n: int) -> MultiPoly:
@@ -136,15 +147,30 @@ def power_difference(n: int) -> MultiPoly:
     return MultiPoly.variable(XY, "x", n) - MultiPoly.variable(XY, "y", n)
 
 
+def _shift(op, row: list[int]) -> list[int]:
+    # (x + y) or (x - y), for op add or sub, times a homogeneous row whose entry e
+    # is the coefficient of x^e y^(d-e).
+    return list(map(op, [0, *row], [*row, 0]))
+
+
 def lemma1_rhs(n: int) -> MultiPoly:
     """Expanded (x - y) * sum_i (-1)^i C(n-i-1, i) (x+y)^(n-2i-1) (xy)^i, n >= 1,
-    with the sum taken by Horner's rule in (x+y)^2 (times x+y when n is even)."""
+    with the sum taken by Horner's rule in (x+y)^2 (times x+y when n is even).
+
+    Each summand is homogeneous of degree n, so the expansion runs on one integer
+    row: entry e holds the coefficient of x^e y^(degree-e), and (xy)^i is entry i
+    of the degree-2i row.
+    """
     if n < 1:
         raise ValueError(f"identity index must be positive, got {n}")
-    acc = MultiPoly.zero(XY)
-    for i, coeff in enumerate(lemma1_row(n)):
-        acc = acc * _PLUS_SQUARED + MultiPoly.term(XY, coeff, x=i, y=i)
-    return (_X - _Y) * (acc if n % 2 else acc * _PLUS)
+    coeffs = lemma1_row(n)
+    row = coeffs[:1]
+    for i in range(1, len(coeffs)):
+        row = _shift(add, _shift(add, row))
+        row[i] += coeffs[i]
+    if n % 2 == 0:
+        row = _shift(add, row)
+    return MultiPoly._raw(XY, {(e, n - e): c for e, c in enumerate(_shift(sub, row)) if c})
 
 
 @dataclass(frozen=True)
@@ -179,6 +205,8 @@ def lemma1_recurrence_check(max_n: int) -> IdentityCheckReport:
     """Structural check of the induction step T(n) = (x+y) T(n-1) - xy T(n-2).
 
     T is the generated right-hand side, with T(0) = 0; checked for 2 <= n <= max_n.
+    The step is taken with MultiPoly arithmetic, so it tests lemma1_rhs's row
+    expansion with an independent arithmetic.
     """
     if max_n < 2:
         raise StructuralError(f"max_n must be at least 2 to check anything, got {max_n}")

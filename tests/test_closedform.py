@@ -1,9 +1,12 @@
 import ast
+import inspect
+import json
+import math
 from pathlib import Path
 
 import pytest
 
-from newtonpoly import closedform
+from newtonpoly import cli, closedform
 from newtonpoly.closedform import (
     binomial,
     closed_audit,
@@ -51,6 +54,11 @@ class TestBinomial:
                     if binomial(m - i - 1, i) != 0]
         assert lemma1_row(m) == skipping
         assert 0 not in lemma1_row(m)
+
+    def test_diagonal_walk_equals_math_comb(self):
+        for m in [*range(513), 1023, 1024, 1025]:
+            expected = [(-1) ** j * math.comb(m - j - 1, j) for j in range((m + 1) // 2)]
+            assert lemma1_row(m) == expected, m
 
     def test_pascal_identity(self):
         for n in range(1, 21):
@@ -148,6 +156,84 @@ class TestPowerDifferenceIdentity:
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             lemma1_rhs(0)
+
+    def test_row_expansion_equals_multipoly_horner(self):
+        for n in range(1, 101):
+            assert lemma1_rhs(n) == horner_lemma1_rhs(n), n
+
+
+def horner_lemma1_rhs(n):
+    """The right-hand side by Horner's rule in MultiPoly products, as lemma1_rhs took it
+    before it expanded on a coefficient row; the row is taken with math.comb."""
+    x, y = MultiPoly.variable(XY, "x"), MultiPoly.variable(XY, "y")
+    plus = x + y
+    acc = MultiPoly.zero(XY)
+    for i in range((n + 1) // 2):
+        acc = acc * (plus * plus) + MultiPoly.term(XY, (-1) ** i * math.comb(n - i - 1, i), x=i, y=i)
+    return (x - y) * (acc if n % 2 else acc * plus)
+
+
+ORIGINAL_LEMMA1_ROW = closedform.lemma1_row
+
+
+def flip_entry_one(m):
+    """lemma1_row with the sign of entry j = 1 flipped; the first such row is m = 3."""
+    row = ORIGINAL_LEMMA1_ROW(m)
+    if len(row) > 1:
+        row[1] = -row[1]
+    return row
+
+
+class DropEvenFactor(ast.NodeTransformer):
+    """Drops lemma1_rhs's trailing x + y for even n: the statement ``if n % 2 == 0: ...``."""
+
+    dropped = 0
+
+    def visit_If(self, node):
+        if ast.unparse(node.test) == "n % 2 == 0":
+            self.dropped += 1
+            return None
+        return node
+
+
+def even_factor_mutant():
+    tree = ast.parse(inspect.getsource(closedform.lemma1_rhs))
+    transformer = DropEvenFactor()
+    tree = ast.fix_missing_locations(transformer.visit(tree))
+    assert transformer.dropped == 1
+    namespace = {}
+    exec(compile(tree, "<lemma1_rhs mutant>", "exec"), vars(closedform), namespace)
+    return namespace["lemma1_rhs"]
+
+
+class TestLemma1Mutants:
+    """A pass means something only if a wrong row or a wrong expansion fails."""
+
+    def test_row_sign_flip_fails_the_identity_at_3(self, monkeypatch):
+        monkeypatch.setattr(closedform, "lemma1_row", flip_entry_one)
+        report = lemma1_check(16)
+        assert not report.passed
+        assert report.first_failure == 3
+
+    def test_row_sign_flip_fails_the_induction_step(self, monkeypatch):
+        monkeypatch.setattr(closedform, "lemma1_row", flip_entry_one)
+        report = lemma1_recurrence_check(16)
+        assert not report.passed
+        assert report.first_failure == 3
+
+    def test_row_sign_flip_fails_the_cli_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(closedform, "lemma1_row", flip_entry_one)
+        assert cli.main(["verify", "lemma1", "--max-n", "16"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    def test_dropped_even_factor_fails_at_2(self, monkeypatch):
+        mutant = even_factor_mutant()
+        assert mutant(3) == lemma1_rhs(3)    # odd n is untouched
+        monkeypatch.setattr(closedform, "lemma1_rhs", mutant)
+        report = lemma1_check(16)
+        assert not report.passed
+        assert report.first_failure == 2
+        assert lemma1_recurrence_check(16).first_failure == 2
 
 
 def test_closed_form_imports_no_other_route():
