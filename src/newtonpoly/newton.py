@@ -12,13 +12,15 @@ every monomial of Q_n has the same i + j + k and j + 2k + e = 2^n - 1.  So
 half-full 2-D grid of integers; NewtonPair refuses a term off it.  On that
 grid multiplying by a or b is the identity (their exponents are implied) and
 multiplying by c shifts one row.  Each step packs both grids into single
-integers by Kronecker substitution, takes the three products P^2, Q^2 and PQ
-as big-integer multiplies, forms
+numbers by Kronecker substitution, takes three squarings, P^2, Q^2 and
+(P + Q)^2, forms
 
-    P' = P^2 - (Q^2 shifted one c-row)        Q' = 2 PQ + Q^2
+    P' = P^2 - (Q^2 shifted one c-row)        Q' = (P + Q)^2 - P^2 = 2 PQ + Q^2
 
-and unpacks the result.  The grading fixes the layout: at x-degree N a row
-holds N + 1 cells, packed at stride 2N + 1, and P' has N + 1 rows, Q' N.
+and unpacks the result.  packing.choose_radix picks the product: int below a
+measured operand size, Decimal (libmpdec's transform) above it.  The
+grading fixes the layout: at x-degree N a row holds N + 1 cells, packed at
+stride 2N + 1, and P' has N + 1 rows, Q' N.
 The grid becomes an (a, b, c, x) polynomial once, after the last step.  The
 recurrence never consults the closed form.
 
@@ -62,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DEFAULT_CAP, DomainError, StructuralError, check_index
-from .packing import pack, slot_size, unpack
+from .packing import choose_radix, pack, slot_size, unpack
 from .polyring import ABCX, MultiPoly, divexact
 
 EXACT_RESULTANT_MAX_N = 3
@@ -171,21 +173,26 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
 # A grid is a flat list of integers, row k (the c exponent) after row k - 1,
 # size + 1 cells per row for x-degree size, cell e holding the coefficient of
 # x^e.  Its Kronecker image (packing.pack) puts cell (k, e) in slot
-# k * stride + e of an integer.
+# k * stride + e of one number.
 
 
-def _step(p: list[int], q: list[int], size: int) -> tuple[list[int], list[int]]:
+def _step(p: list[int], q: list[int], size: int,
+          radix: type | None = None) -> tuple[list[int], list[int]]:
     """One recurrence step on the (c, x) grids of (P, Q) at x-degree ``size``.
 
     The stride 2 size + 1 exceeds every x exponent of a product.  Since
     j = weight - 2k - e >= 0, P' has size + 1 rows and Q' has size rows.
+    ``radix`` defaults to packing.choose_radix's choice for the size of packed P.
     """
     stride = 2 * size + 1
     slot = slot_size(p, q)
-    packed_p, packed_q = (pack(cells, size + 1, stride, slot) for cells in (p, q))
-    p_sq, q_sq, pq = packed_p * packed_p, packed_q * packed_q, packed_p * packed_q
-    return (unpack(p_sq - (q_sq << (8 * slot * stride)), size + 1, stride, stride, slot),
-            unpack((pq << 1) + q_sq, size, stride, stride, slot))
+    kernel = (radix or choose_radix(slot * stride * (size // 2 + 1)))(slot)
+    packed_p, packed_q = (kernel.pack(cells, size + 1, stride) for cells in (p, q))
+    p_sq, p_plus_q = kernel.multiply(packed_p, packed_p), kernel.add(packed_p, packed_q)
+    new_p = kernel.subtract(p_sq, kernel.shift(kernel.multiply(packed_q, packed_q), stride))
+    new_q = kernel.subtract(kernel.multiply(p_plus_q, p_plus_q), p_sq)
+    return (kernel.unpack(new_p, size + 1, stride, stride),
+            kernel.unpack(new_q, size, stride, stride))
 
 
 def _lift(cells: list[int], width: int, degree: int, weight: int) -> MultiPoly:
@@ -210,8 +217,9 @@ def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
     is 2^n in P_n and 2^n - 1 in Q_n, so the recurrence runs on the grids of
     (c, x) exponents: for n >= 1, P_n fills half of a (2^(n-1) + 1) by
     (2^n + 1) grid.  Each step packs both grids by Kronecker substitution and takes three
-    big-integer products, P^2, Q^2 and PQ.  packing.slot_size bounds every
-    coefficient of P' and Q', so the result is exact for every n.
+    squarings, P^2, Q^2 and (P + Q)^2.  packing.slot_size bounds every
+    coefficient of P' and Q', the only values unpacked, so the result is
+    exact for every n.
     """
     check_index(n, cap)
     p, q = [0, 1], [1, 0]               # P_0 = x and Q_0 = 1, cells e = 0, 1

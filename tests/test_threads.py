@@ -1,5 +1,6 @@
 """Shared values must stay correct when threads use them at once."""
 
+import decimal
 import importlib
 import os
 import pkgutil
@@ -58,6 +59,37 @@ def test_concurrent_cache_fill():
     result = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_decimal_walk_in_threads_keeps_each_thread_context():
+    # iterate_pair(7) takes its last step in decimal; every thread gets the
+    # same pair and finds its own decimal context as it left it.
+    from newtonpoly.newton import iterate_pair
+
+    barrier = threading.Barrier(THREADS)
+    results, errors = [None] * THREADS, []
+
+    def work(index):
+        try:
+            context = decimal.getcontext()
+            context.prec = 5 + index
+            context.clear_flags()
+            barrier.wait()
+            pair = iterate_pair(7)
+            assert decimal.getcontext() is context and context.prec == 5 + index
+            assert not any(context.flags.values()), context.flags
+            results[index] = pair
+        except Exception as exc:   # surfaced below, after the join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(index,)) for index in range(THREADS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors, errors
+    assert all(pair == results[0] for pair in results)
+    assert results[0] == iterate_pair(7)
 
 
 def test_no_module_level_caches():
