@@ -176,17 +176,16 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
 # k * stride + e of one number.
 
 
-def _step(p: list[int], q: list[int], size: int,
-          radix: type | None = None) -> tuple[list[int], list[int]]:
+def _step(p: list[int], q: list[int], size: int) -> tuple[list[int], list[int]]:
     """One recurrence step on the (c, x) grids of (P, Q) at x-degree ``size``.
 
     The stride 2 size + 1 exceeds every x exponent of a product.  Since
     j = weight - 2k - e >= 0, P' has size + 1 rows and Q' has size rows.
-    ``radix`` defaults to packing.choose_radix's choice for the size of packed P.
+    packing.choose_radix picks the product from the size of packed P.
     """
     stride = 2 * size + 1
     slot = slot_size(p, q)
-    kernel = (radix or choose_radix(slot * stride * (size // 2 + 1)))(slot)
+    kernel = choose_radix(slot * stride * (size // 2 + 1))(slot)
     packed_p, packed_q = (kernel.pack(cells, size + 1, stride) for cells in (p, q))
     p_sq, p_plus_q = kernel.multiply(packed_p, packed_p), kernel.add(packed_p, packed_q)
     new_p = kernel.subtract(p_sq, kernel.shift(kernel.multiply(packed_q, packed_q), stride))

@@ -9,8 +9,8 @@ carry-free run of digits; the packed bias is subtracted after packing and
 added back before unpacking.  ``unpack`` inverts ``pack``: given the rows,
 width and stride of a grid it returns exactly its cells, never the padding
 slots.  Both directions run at C speed: ``map`` over the cells, one joined
-buffer, and one ``struct.Struct`` split whose row format skips the padding
-with ``x``.
+buffer, and one ``struct.Struct`` per call that reads a row's cells and
+skips its padding with ``x``, iterated over the rows.
 
 Two radices share that layout:
 
@@ -46,11 +46,10 @@ from __future__ import annotations
 
 import decimal
 import struct
-from itertools import repeat
-from operator import add, getitem, mul, sub
+from itertools import chain, repeat
+from operator import add, mul, sub
 
 CROSSOVER_BYTES = 24_000            # between the x-degree 32 and 64 steps; see above
-REVERSED = slice(None, None, -1)
 
 
 def slot_size(p: list[int], q: list[int]) -> int:
@@ -71,17 +70,25 @@ def bias(slots: int, size: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
-def _join(chunks, width: int, stride: int, size: int, pad_slot):
-    """The cells' slot chunks joined in slot order, stride - width pad slots after each row."""
+def _join(chunks, width: int, stride: int, size: int, pad_slot, lead: bool = False):
+    """The slot chunks joined, rows of ``width``, stride - width pad slots after each row.
+
+    With ``lead`` the pad slots come before each row instead.
+    """
     buffer = pad_slot[:0].join(chunks)
+    if stride == width:
+        return buffer
     pad, step = pad_slot * (stride - width), width * size
-    return pad[:0].join([buffer[i:i + step] + pad for i in range(0, len(buffer), step)])
+    rows = range(0, len(buffer), step)
+    if lead:
+        return pad[:0].join([pad + buffer[i:i + step] for i in rows])
+    return pad[:0].join([buffer[i:i + step] + pad for i in rows])
 
 
-def _split(buffer: bytes, rows: int, width: int, stride: int, size: int) -> tuple[bytes, ...]:
-    """The cells' slot fields of a ``_join`` buffer, the padding slots skipped."""
-    row = f"{size}s" * width + f"{(stride - width) * size}x"
-    return struct.Struct(row * rows).unpack(buffer)
+def _row(width: int, stride: int, size: int, lead: bool = False) -> struct.Struct:
+    """One row of a ``_join`` buffer: its cells' slot fields, the pad slots skipped."""
+    cells, pad = f"{size}s" * width, f"{(stride - width) * size}x"
+    return struct.Struct(pad + cells if lead else cells + pad)
 
 
 def pack(cells: list[int], width: int, stride: int, size: int) -> int:
@@ -95,7 +102,7 @@ def pack(cells: list[int], width: int, stride: int, size: int) -> int:
 def unpack(value: int, rows: int, width: int, stride: int, size: int) -> list[int]:
     """Inverse of ``pack`` for slots in [-2^(8 size - 1), 2^(8 size - 1)); skips the padding."""
     raw = (value + bias(rows * stride, size)).to_bytes(rows * stride * size, "little")
-    fields = _split(raw, rows, width, stride, size)
+    fields = chain.from_iterable(_row(width, stride, size).iter_unpack(raw))
     return list(map(sub, map(int.from_bytes, fields, repeat("little")),
                     repeat(1 << (8 * size - 1))))
 
@@ -123,10 +130,10 @@ class DigitSlots:
 
     10^digits > 2^(8 size) since 0.30103 > log10(2), so a slot of
     [-half, half), half = 10^digits / 2, holds [-2^(8 size - 1), 2^(8 size - 1)).
-    Each slot's digits are written reversed into the slot-order buffer of
-    ``_join``, so the reversed buffer is the packed number's decimal string,
-    and ``_split`` reads the reversed string back.  Grids have at least one
-    row: a number's string is never empty.
+    A number's decimal string lists its slots from the highest down, so the
+    cells are joined in reverse, each row led by its pad slots, and read
+    back in place from the string by the same row format.  Grids have at
+    least one row: a number's string is never empty.
     """
 
     def __init__(self, size: int) -> None:
@@ -137,23 +144,25 @@ class DigitSlots:
         self.add, self.subtract, self.multiply = context.add, context.subtract, context.multiply
 
     def _bias(self, slots: int) -> decimal.Decimal:
-        return self.context.create_decimal(("5" + "0" * (self.digits - 1)) * slots)
+        return self.context.create_decimal(str(self.half) * slots)
 
     def pack(self, cells: list[int], width: int, stride: int) -> decimal.Decimal:
-        digits = self.digits
-        chunks = map(getitem, map(format, map(add, cells, repeat(self.half)),
-                                  repeat(f"0{digits}d")), repeat(REVERSED))
-        text = _join(chunks, width, stride, digits, "0" * (digits - 1) + "5")[::-1]
+        chunks = map(format, map(add, reversed(cells), repeat(self.half)),
+                     repeat(f"0{self.digits}d"))
+        text = _join(chunks, width, stride, self.digits, str(self.half), lead=True)
         return self.subtract(self.context.create_decimal(text),
                              self._bias(len(cells) // width * stride))
 
     def unpack(self, value: decimal.Decimal, rows: int, width: int, stride: int) -> list[int]:
         slots, digits = rows * stride, self.digits
-        # One expression, so each whole digit string is freed as soon as it is read.
-        fields = _split(self.context.to_sci_string(self.add(value, self._bias(slots)))
-                        .zfill(slots * digits)[::-1].encode("ascii"), rows, width, stride, digits)
-        return list(map(sub, map(int, map(getitem, fields, repeat(REVERSED))),
-                        repeat(self.half)))
+        text = self.context.to_sci_string(self.add(value, self._bias(slots))).zfill(slots * digits)
+        row, step = _row(width, stride, digits, lead=True), stride * digits
+        # Row by row, so no bytes copy of the whole string and no tuple of every field.
+        fields = chain.from_iterable(row.unpack(text[i:i + step].encode("ascii"))
+                                     for i in range(0, len(text), step))
+        cells = list(map(sub, map(int, fields), repeat(self.half)))
+        cells.reverse()
+        return cells
 
     def shift(self, value: decimal.Decimal, slots: int) -> decimal.Decimal:
         return self.context.scaleb(value, slots * self.digits)

@@ -105,11 +105,12 @@ def walk():
 
 
 class TestRadices:
+    @pytest.mark.parametrize("radix", [ByteSlots, DigitSlots])
     @pytest.mark.parametrize("k", range(7))
-    def test_both_radices_match_the_old_step(self, walk, k):
+    def test_both_radices_match_the_old_step(self, walk, k, radix, monkeypatch):
+        monkeypatch.setattr(newton, "choose_radix", lambda operand_bytes: radix)
         p, q = walk[k]
-        assert newton._step(p, q, 2 ** k, ByteSlots) == walk[k + 1]
-        assert newton._step(p, q, 2 ** k, DigitSlots) == walk[k + 1]
+        assert newton._step(p, q, 2 ** k) == walk[k + 1]
 
     def test_walk_to_seven_reads_no_whole_packed_value_as_a_string(self, monkeypatch):
         # Above 640 digits int <-> str raises, and P' of the last step of the
