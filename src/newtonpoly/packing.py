@@ -27,13 +27,13 @@ Two radices share that layout:
 P exceeds CROSSOVER_BYTES.  Milliseconds per ``newton._step`` (three
 squarings) of the walk, each route forced, median of interleaved runs on a
 shared 2-vCPU x86-64 VM under CPython 3.11; on random grids of x-degree 32
-the two routes tie near 23 kB:
+the two routes tie between 20 and 23 kB:
 
     x-degree   packed P   ByteSlots   DigitSlots
-       16       1.8 kB       0.58        2.3
-       32        13 kB       7.0         9.7
-       64        98 kB     142          71
-      128       752 kB    2856         457
+       16       1.8 kB       0.62        2.2
+       32        13 kB       6.9         9.0
+       64        98 kB     145          69
+      128       752 kB    2283         391
 
 ``newton`` packs the (c, x) grids of the commutative pair and the
 resultant's Sylvester entries (each the image of one c-column, width and
