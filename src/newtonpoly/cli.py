@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
+from typing import Iterator
 
 from . import closedform, newton, qalgebra, quadfield, smoothness
 from .errors import DEFAULT_CAP, DomainError, ResourceCapError, StructuralError, check_index
@@ -175,12 +176,22 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify suites
 
+def _pairs(max_n: int, cap: int) -> Iterator[NewtonPair]:
+    """(P_n, Q_n) for n = 0..max_n from one recurrence walk.
+
+    An n above ``cap`` is refused before the walk takes the step to it.
+    """
+    walk = newton.iterates()
+    for n in range(max_n + 1):
+        check_index(n, cap)
+        yield next(walk)
+
+
 def _suite_equivalence(args) -> tuple[bool, dict]:
     per_n = []
     closed = []                      # (closed_p(n), closed_q(n)), built once per n
     ok = True
-    for n in range(args.max_n + 1):
-        pair = newton.iterate_pair(n, cap=args.cap)
+    for n, pair in enumerate(_pairs(args.max_n, args.cap)):
         closed.append((closedform.closed_p(n, cap=args.cap), closedform.closed_q(n, cap=args.cap)))
         match = (pair.p, pair.q) == closed[n]
         per_n.append({"n": n, "recurrence_equals_closed": match})
@@ -227,8 +238,7 @@ def _suite_lemma1(args) -> tuple[bool, dict]:
 def _suite_coprime(args) -> tuple[bool, dict]:
     reports = []
     ok = True
-    for n in range(args.max_n + 1):
-        pair = newton.iterate_pair(n, cap=args.cap)
+    for pair in _pairs(args.max_n, args.cap):
         result = newton.coprimality_check(pair, trials=args.trials, seed=args.seed)
         reports.append(result.to_dict())
         ok = ok and result.passed
@@ -264,11 +274,10 @@ def _suite_qconjecture(args) -> tuple[bool, dict]:
     result = qalgebra.conjecture_check(args.max_n, cap=args.cap, recurrence=walk)
     commutative = []
     commutative_ok = True
-    for n, (nc_p, nc_q) in enumerate(walk[:args.commutative_max_n + 1]):
-        pair = newton.iterate_pair(n)
+    for (nc_p, nc_q), pair in zip(walk, _pairs(args.commutative_max_n, args.cap)):
         match = (nc_p.substitute(_COMMUTATIVE) == pair.p
                  and nc_q.substitute(_COMMUTATIVE) == pair.q)
-        commutative.append({"n": n, "match": match})
+        commutative.append({"n": pair.n, "match": match})
         commutative_ok = commutative_ok and match
     ok = result.passed and commutative_ok
     report = {"suite": "qconjecture", "conjecture": result.to_dict(),

@@ -62,9 +62,11 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice, starmap
+from typing import Iterator
 
 from .errors import DEFAULT_CAP, DomainError, StructuralError, check_index
-from .packing import choose_radix, pack, slot_size, unpack
+from .packing import ByteSlots, choose_radix, slot_size
 from .polyring import ABCX, MultiPoly, divexact
 
 EXACT_RESULTANT_MAX_N = 3
@@ -172,8 +174,8 @@ def iterate_value(coeffs: QuadraticCoeffs, z0: Fraction | int, n: int) -> Fracti
 #
 # A grid is a flat list of integers, row k (the c exponent) after row k - 1,
 # size + 1 cells per row for x-degree size, cell e holding the coefficient of
-# x^e.  Its Kronecker image (packing.pack) puts cell (k, e) in slot
-# k * stride + e of one number.
+# x^e.  Its Kronecker image (a packing kernel's ``pack``) puts cell (k, e) in
+# slot k * stride + e of one number.
 
 
 def _step(p: list[int], q: list[int], size: int) -> tuple[list[int], list[int]]:
@@ -209,8 +211,22 @@ def _lift(cells: list[int], width: int, degree: int, weight: int) -> MultiPoly:
     return MultiPoly._raw(ABCX, terms)
 
 
-def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
-    """The exact symbolic pair (P_n, Q_n) grown by the squaring recurrence.
+def _walk() -> Iterator[tuple[int, list[int], list[int]]]:
+    """(n, grid of P_n, grid of Q_n) for n = 0, 1, ...; n is yielded before the step to n + 1."""
+    p, q = [0, 1], [1, 0]               # P_0 = x and Q_0 = 1, cells e = 0, 1
+    for n in count():
+        yield n, p, q
+        p, q = _step(p, q, 2 ** n)
+
+
+def _pair(n: int, p: list[int], q: list[int]) -> NewtonPair:
+    size = 2 ** n
+    return NewtonPair(n, _lift(p, size + 1, size - 1, size),
+                      _lift(q, size + 1, size - 1, size - 1))
+
+
+def iterates() -> Iterator[NewtonPair]:
+    """The exact symbolic pairs (P_0, Q_0), (P_1, Q_1), ... grown by the squaring recurrence.
 
     Every monomial a^i b^j c^k x^e has i + j + k = 2^n - 1, and j + 2k + e
     is 2^n in P_n and 2^n - 1 in Q_n, so the recurrence runs on the grids of
@@ -218,15 +234,16 @@ def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
     (2^n + 1) grid.  Each step packs both grids by Kronecker substitution and takes three
     squarings, P^2, Q^2 and (P + Q)^2.  packing.slot_size bounds every
     coefficient of P' and Q', the only values unpacked, so the result is
-    exact for every n.
+    exact for every n.  Pair n is built when it is asked for, and the step to
+    n + 1 is taken only when that pair is.
     """
+    return starmap(_pair, _walk())
+
+
+def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
+    """(P_n, Q_n) by the squaring recurrence (see ``iterates``); only the last grid is lifted."""
     check_index(n, cap)
-    p, q = [0, 1], [1, 0]               # P_0 = x and Q_0 = 1, cells e = 0, 1
-    for k in range(n):
-        p, q = _step(p, q, 2 ** k)
-    size = 2 ** n
-    return NewtonPair(n, _lift(p, size + 1, size - 1, size),
-                      _lift(q, size + 1, size - 1, size - 1))
+    return _pair(*next(islice(_walk(), n, None)))
 
 
 def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> Fraction:
@@ -298,7 +315,7 @@ def _grid_resultant(pair: NewtonPair) -> MultiPoly:
     determinant has total degree T = (2N - 1)(N - 1) and weight
     W = sum(col) - sum(r) = N(N - 1).  Its c exponent k names it:
     j = W - 2k and i = T - j - k.  Each entry is the value at a = b = 1,
-    c = 2^(8 slot), which is the packing.pack image of its x-power's
+    c = 2^(8 slot), which is the ByteSlots image of its x-power's
     c-column; evaluation is a ring homomorphism, so the integer determinant
     is the resultant at that point, and its signed base-2^(8 slot) digits
     are the coefficients.  Their absolute values sum to at most the
@@ -309,19 +326,19 @@ def _grid_resultant(pair: NewtonPair) -> MultiPoly:
     size = 2 ** pair.n
     bound = (sum(map(abs, pair.p._terms.values())) ** (size - 1)
              * sum(map(abs, pair.q._terms.values())) ** size)
-    slot = (bound.bit_length() + 2 + 7) // 8
+    kernel = ByteSlots((bound.bit_length() + 2 + 7) // 8)
 
     def packed(poly: MultiPoly, degree: int) -> list[int]:     # leading x-coefficient first
         columns = [[0] * (size // 2 + 1) for _ in range(degree + 1)]
         for (_, _, k, e), coeff in poly._terms.items():
             columns[degree - e][k] = coeff
-        return [pack(column, 1, 1, slot) for column in columns]
+        return [kernel.pack(column, 1, 1) for column in columns]
 
     rows = _sylvester_matrix(packed(pair.p, size), packed(pair.q, size - 1), 0)
     value = _bareiss_determinant(rows, 1, operator.floordiv)
     total, weight = (2 * size - 1) * (size - 1), size * (size - 1)
     # One x^0 cell per power of c, k <= W/2 since j >= 0.
-    return _lift(unpack(value, weight // 2 + 1, 1, 1, slot), 1, total, weight)
+    return _lift(kernel.unpack(value, weight // 2 + 1, 1, 1), 1, total, weight)
 
 
 # ---------------------------------------------------------------- specialization GCD

@@ -35,11 +35,12 @@ the two routes tie between 20 and 23 kB:
        64        98 kB     145          69
       128       752 kB    2283         391
 
-``newton`` packs the (c, x) grids of the commutative pair and the
-resultant's Sylvester entries (each the image of one c-column, width and
-stride 1), and ``qalgebra`` the (c, q) slices of the noncommutative pair;
-the resultant and the q-walk keep ``int`` products.  ``slot_size`` is the
-slot rule of a recurrence step, for both walks.
+Both walks are kernel clients, each step on the radix ``choose_radix``
+picks: ``newton`` packs the (c, x) grids of the commutative pair, and
+``qalgebra`` the (c, q) slices of the noncommutative pair.  The resultant
+packs its Sylvester entries (each the image of one c-column, width and
+stride 1) in ``ByteSlots``.  ``slot_size`` is the slot rule of a recurrence
+step, for both walks.
 """
 
 from __future__ import annotations
@@ -91,22 +92,6 @@ def _row(width: int, stride: int, size: int, lead: bool = False) -> struct.Struc
     return struct.Struct(pad + cells if lead else cells + pad)
 
 
-def pack(cells: list[int], width: int, stride: int, size: int) -> int:
-    """Kronecker image of a signed grid: biased slots, one buffer, less the packed bias."""
-    half = 1 << (8 * size - 1)
-    chunks = map(int.to_bytes, map(add, cells, repeat(half)), repeat(size), repeat("little"))
-    buffer = _join(chunks, width, stride, size, half.to_bytes(size, "little"))
-    return int.from_bytes(buffer, "little") - bias(len(cells) // width * stride, size)
-
-
-def unpack(value: int, rows: int, width: int, stride: int, size: int) -> list[int]:
-    """Inverse of ``pack`` for slots in [-2^(8 size - 1), 2^(8 size - 1)); skips the padding."""
-    raw = (value + bias(rows * stride, size)).to_bytes(rows * stride * size, "little")
-    fields = chain.from_iterable(_row(width, stride, size).iter_unpack(raw))
-    return list(map(sub, map(int.from_bytes, fields, repeat("little")),
-                    repeat(1 << (8 * size - 1))))
-
-
 class ByteSlots:
     """Grids packed into ``int`` slots of ``size`` bytes."""
 
@@ -114,12 +99,21 @@ class ByteSlots:
 
     def __init__(self, size: int) -> None:
         self.size = size
+        self.half = 1 << (8 * size - 1)
 
     def pack(self, cells: list[int], width: int, stride: int) -> int:
-        return pack(cells, width, stride, self.size)
+        """Kronecker image of a signed grid: biased slots, one buffer, less the packed bias."""
+        size, half = self.size, self.half
+        chunks = map(int.to_bytes, map(add, cells, repeat(half)), repeat(size), repeat("little"))
+        buffer = _join(chunks, width, stride, size, half.to_bytes(size, "little"))
+        return int.from_bytes(buffer, "little") - bias(len(cells) // width * stride, size)
 
     def unpack(self, value: int, rows: int, width: int, stride: int) -> list[int]:
-        return unpack(value, rows, width, stride, self.size)
+        """Inverse of ``pack`` for slots in [-half, half); skips the padding."""
+        size = self.size
+        raw = (value + bias(rows * stride, size)).to_bytes(rows * stride * size, "little")
+        fields = chain.from_iterable(_row(width, stride, size).iter_unpack(raw))
+        return list(map(sub, map(int.from_bytes, fields, repeat("little")), repeat(self.half)))
 
     def shift(self, value: int, slots: int) -> int:
         return value << (8 * self.size * slots)
@@ -132,8 +126,7 @@ class DigitSlots:
     [-half, half), half = 10^digits / 2, holds [-2^(8 size - 1), 2^(8 size - 1)).
     A number's decimal string lists its slots from the highest down, so the
     cells are joined in reverse, each row led by its pad slots, and read
-    back in place from the string by the same row format.  Grids have at
-    least one row: a number's string is never empty.
+    back in place from the string by the same row format.
     """
 
     def __init__(self, size: int) -> None:
@@ -144,13 +137,13 @@ class DigitSlots:
         self.add, self.subtract, self.multiply = context.add, context.subtract, context.multiply
 
     def _bias(self, slots: int) -> decimal.Decimal:
-        return self.context.create_decimal(str(self.half) * slots)
+        return self.context.create_decimal(str(self.half) * slots or 0)
 
     def pack(self, cells: list[int], width: int, stride: int) -> decimal.Decimal:
         chunks = map(format, map(add, reversed(cells), repeat(self.half)),
                      repeat(f"0{self.digits}d"))
         text = _join(chunks, width, stride, self.digits, str(self.half), lead=True)
-        return self.subtract(self.context.create_decimal(text),
+        return self.subtract(self.context.create_decimal(text or 0),
                              self._bias(len(cells) // width * stride))
 
     def unpack(self, value: decimal.Decimal, rows: int, width: int, stride: int) -> list[int]:
@@ -159,7 +152,7 @@ class DigitSlots:
         row, step = _row(width, stride, digits, lead=True), stride * digits
         # Row by row, so no bytes copy of the whole string and no tuple of every field.
         fields = chain.from_iterable(row.unpack(text[i:i + step].encode("ascii"))
-                                     for i in range(0, len(text), step))
+                                     for i in range(0, slots * digits, step))
         cells = list(map(sub, map(int, fields), repeat(self.half)))
         cells.reverse()
         return cells

@@ -30,13 +30,14 @@ over (a, b, c, x).
 nc_iterates() never calls nc_mul, which stays the reference product.  With
 N = 2^n every word a^i b^j c^k q^s x^e y^(N-e) of P'_n has i + j + k = N - 1
 and j + 2k + e = W, the weight (N in P'_n, N - 1 in Q'_n), so (k, e, s)
-names it.  For each e the (k, s) grid is one slice, packed into one integer
-(packing.pack, row k at slot k * stride).  Words multiply by the twist
-(Kassel, Quantum Groups, IV)
+names it.  For each e the (k, s) grid is one slice.  The walk is a client of
+packing's kernel, as the commutative one is: each step packs, multiplies,
+shifts and reads its slices on the radix packing.choose_radix picks.  Words
+multiply by the twist (Kassel, Quantum Groups, IV)
 
     (x^e1 y^(N-e1)) (x^e2 y^(N-e2)) = q^((N-e1) e2) x^(e1+e2) y^(2N-e1-e2)
 
-so slice e1 times slice e2 is one big-integer product shifted (N - e1) e2
+so slice e1 times slice e2 is one kernel product shifted (N - e1) e2
 q-slots into slice e1 + e2; a and b are implied and c shifts one row.
 
 The grading fixes every layout.  Slice e has (W - e) // 2 + 1 rows, since
@@ -54,7 +55,7 @@ from typing import Iterable, Iterator
 
 from .closedform import IdentityCheckReport, p_contributions, q_contributions
 from .errors import StructuralError, check_index
-from .packing import pack, slot_size, unpack
+from .packing import choose_radix, slot_size
 from .polyring import ABCQ, ABCQXY, MultiPoly, nc_mul
 
 DEFAULT_NC_CAP = 4
@@ -135,23 +136,23 @@ def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
 
 # ---------------------------------------------------------------- packed recurrence
 
-def _twisted(left: list[int], right: list[int], size: int, slot_bits: int) -> list[int]:
+def _twisted(left: list, right: list, size: int, kernel) -> list:
     """Packed slices of L R + R L, or of L^2 when right is left, for x-degree ``size``.
 
     The product of slices e1 and e2 serves both orders: twisted by
     (size - e1) e2 in L R and by (size - e2) e1 in R L.  A square takes each
-    unordered pair once.
+    unordered pair once.  ``kernel`` is the step's packing radix.
     """
     square = right is left
-    out = [0] * (2 * size + 1)
+    out = [kernel.pack([], 1, 1)] * (2 * size + 1)
     for e1, packed_l in enumerate(left):
         for e2 in range(e1 if square else 0, size + 1):
-            product = packed_l * right[e2]
+            product = kernel.multiply(packed_l, right[e2])
             if product:
-                twisted = product << (slot_bits * (size - e1) * e2)
+                twisted = kernel.shift(product, (size - e1) * e2)
                 if e1 != e2 or not square:
-                    twisted += product << (slot_bits * (size - e2) * e1)
-                out[e1 + e2] += twisted
+                    twisted = kernel.add(twisted, kernel.shift(product, (size - e2) * e1))
+                out[e1 + e2] = kernel.add(out[e1 + e2], twisted)
     return out
 
 
@@ -166,19 +167,20 @@ def _nc_step(p: list[list[int]], q: list[list[int]],
 
     A slot of a twisted product, as of a grid product, pairs each cell of
     one operand with at most one cell of the other, so ``slot_size`` of the
-    flattened slices sizes the slots.
+    flattened slices sizes the slots.  packing.choose_radix picks the
+    product from the size of the largest packed P slice, slice 0.
     """
     stride = size * size + 1
     slot = slot_size(*([cell for cells in poly for cell in cells] for poly in (p, q)))
-    packed_p, packed_q = ([pack(cells, _width(size, e), stride, slot)
+    kernel = choose_radix(slot * stride * (size // 2 + 1))(slot)
+    packed_p, packed_q = ([kernel.pack(cells, _width(size, e), stride)
                            for e, cells in enumerate(poly)] for poly in (p, q))
-    slot_bits = 8 * slot
-    pp, qq, pq_qp = (_twisted(left, right, size, slot_bits)
+    pp, qq, pq_qp = (_twisted(left, right, size, kernel)
                      for left, right in ((packed_p, packed_p), (packed_q, packed_q),
                                          (packed_p, packed_q)))
-    new_p = [v - (w << (slot_bits * stride)) for v, w in zip(pp, qq)]
-    new_q = [v + w for v, w in zip(pq_qp, qq)]
-    return tuple([unpack(value, (weight - e) // 2 + 1, _width(2 * size, e), stride, slot)
+    new_p = [kernel.subtract(v, kernel.shift(w, stride)) for v, w in zip(pp, qq)]
+    new_q = [kernel.add(v, w) for v, w in zip(pq_qp, qq)]
+    return tuple([kernel.unpack(value, (weight - e) // 2 + 1, _width(2 * size, e), stride)
                   for e, value in enumerate(values)]
                  for values, weight in ((new_p, 2 * size), (new_q, 2 * size - 1)))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from newtonpoly import cli, closedform, qalgebra, quadfield
+from newtonpoly import cli, closedform, newton, qalgebra, quadfield
 from newtonpoly.errors import StructuralError
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import MultiPoly
@@ -353,6 +353,33 @@ class TestVerify:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("argv, steps", [
+        (["verify", "equivalence", "--max-n", "5", "--rootform-max-n", "0"], 5),
+        (["verify", "coprime", "--max-n", "3", "--trials", "1"], 3),
+        (["verify", "qconjecture", "--max-n", "1", "--commutative-max-n", "3"], 3),
+    ])
+    def test_each_suite_walks_the_commutative_pairs_once(self, monkeypatch, capsys, argv,
+                                                          steps):
+        sizes = []
+        original = newton._step
+        monkeypatch.setattr(newton, "_step",
+                            lambda p, q, size: sizes.append(size) or original(p, q, size))
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert sizes == [2 ** k for k in range(steps)]
+
+    @pytest.mark.parametrize("suite", ["equivalence", "coprime"])
+    def test_cap_is_refused_before_the_walk_takes_the_step(self, monkeypatch, capsys, suite):
+        sizes = []
+        original = newton._step
+        monkeypatch.setattr(newton, "_step",
+                            lambda p, q, size: sizes.append(size) or original(p, q, size))
+        assert cli.main(["verify", suite, "--max-n", "5", "--cap", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource cap: n = 3 exceeds the cap 2; raise the cap explicitly\n"
+        assert sizes == [1, 2]
 
     def test_rootform_range_may_be_empty(self):
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")

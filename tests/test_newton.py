@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
@@ -16,10 +17,11 @@ from newtonpoly.newton import (
     eval_pair,
     iterate_pair,
     iterate_value,
+    iterates,
     newton_step,
     sylvester_resultant,
 )
-from newtonpoly.packing import pack, unpack
+from newtonpoly.packing import ByteSlots
 from newtonpoly.polyring import ABCX, MultiPoly
 
 
@@ -212,6 +214,9 @@ class TestIteratePair:
             for (i, j, k, e), _ in poly.sorted_terms():
                 assert (i + j + k, j + 2 * k + e) == (size - 1, weight)
 
+    def test_one_walk_yields_every_pair(self):
+        assert list(islice(iterates(), 6)) == [iterate_pair(n) for n in range(6)]
+
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             iterate_pair(9)
@@ -244,8 +249,8 @@ class TestIteratePair:
 class TestPacking:
     @staticmethod
     def round_trip(cells, width, stride, size):
-        rows = len(cells) // width
-        assert unpack(pack(cells, width, stride, size), rows, width, stride, size) == cells
+        rows, kernel = len(cells) // width, ByteSlots(size)
+        assert kernel.unpack(kernel.pack(cells, width, stride), rows, width, stride) == cells
 
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_slot_extremes(self, size):

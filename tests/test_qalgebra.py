@@ -8,7 +8,7 @@ from newtonpoly import qalgebra
 from newtonpoly.closedform import binomial
 from newtonpoly.errors import ResourceCapError, StructuralError
 from newtonpoly.newton import iterate_pair
-from newtonpoly.packing import pack, slot_size, unpack
+from newtonpoly.packing import ByteSlots, DigitSlots, slot_size
 from newtonpoly.polyring import ABCQ, ABCQXY, ABCX, MultiPoly, nc_mul
 from newtonpoly.qalgebra import (
     _first_differing_word,
@@ -176,7 +176,9 @@ class TestNCIterate:
         with pytest.raises(ResourceCapError):
             nc_iterate(5)
 
-    def test_packed_walk_matches_nc_mul_walk(self):
+    @pytest.mark.parametrize("radix", [ByteSlots, DigitSlots])
+    def test_packed_walk_matches_nc_mul_walk(self, radix, monkeypatch):
+        monkeypatch.setattr(qalgebra, "choose_radix", lambda operand_bytes: radix)
         a, b, c = (MultiPoly.variable(ABCQXY, name) for name in "abc")
         p, q = X, Y
         expected = [(p, q)]
@@ -189,6 +191,19 @@ class TestNCIterate:
     def test_n5_matches_closed_form(self):
         assert nc_iterate(5, cap=5) == nc_closed(5, cap=5)
 
+    def test_walk_to_five_stays_on_byte_slots(self, monkeypatch):
+        chosen = []
+
+        def spy(operand_bytes):
+            chosen.append(radix := choose(operand_bytes))
+            return radix
+
+        choose = qalgebra.choose_radix
+        monkeypatch.setattr(qalgebra, "choose_radix", spy)
+        nc_iterate(5, cap=5)
+        # The largest packed P slice, 13878 bytes at the N = 16 step, is under the crossover.
+        assert chosen == [ByteSlots] * 5
+
 
 def homogeneous(size, terms):
     """A polynomial over (c, q, x, y) of x, y-degree ``size`` from (k, s, e, coeff) terms."""
@@ -200,23 +215,24 @@ TERMS = st.lists(st.tuples(st.integers(0, ROWS - 1), st.integers(0, WIDTH - 1),
                            st.integers(0, 4), st.integers(-2 ** 100, 2 ** 100)), max_size=12)
 
 
+@pytest.mark.parametrize("radix", [ByteSlots, DigitSlots])
 @given(st.integers(1, 4), TERMS, TERMS)
-def test_twisted_slice_product_matches_nc_mul(size, left_terms, right_terms):
+def test_twisted_slice_product_matches_nc_mul(radix, size, left_terms, right_terms):
     left, right = (homogeneous(size, [t for t in terms if t[2] <= size])
                    for terms in (left_terms, right_terms))
     stride = 2 * WIDTH - 1 + size * size    # every twist (size - e1) e2 is at most size^2
-    slot = slot_size(list(left._terms.values()), list(right._terms.values()))
+    kernel = radix(slot_size(list(left._terms.values()), list(right._terms.values())))
 
     def packed(poly):
         cells = [[0] * (ROWS * WIDTH) for _ in range(size + 1)]
         for (_, _, k, s, e, _), coeff in poly._terms.items():
             cells[e][k * WIDTH + s] = coeff
-        return [pack(grid, WIDTH, stride, slot) for grid in cells]
+        return [kernel.pack(grid, WIDTH, stride) for grid in cells]
 
     def twisted(left_slices, right_slices):
         product = {}
-        for e, value in enumerate(qalgebra._twisted(left_slices, right_slices, size, 8 * slot)):
-            for index, coeff in enumerate(unpack(value, 2 * ROWS - 1, stride, stride, slot)):
+        for e, value in enumerate(qalgebra._twisted(left_slices, right_slices, size, kernel)):
+            for index, coeff in enumerate(kernel.unpack(value, 2 * ROWS - 1, stride, stride)):
                 k, s = divmod(index, stride)
                 product[0, 0, k, s, e, 2 * size - e] = coeff
         return MultiPoly(ABCQXY, product)
