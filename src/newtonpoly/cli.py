@@ -38,15 +38,17 @@ def canonical_json(obj) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, so the
     reports are written here instead: each container is one join of its
-    children's text.  Takes dicts with str keys, lists, tuples, str, int,
-    bool and None; anything else raises TypeError, and a container that holds
-    itself raises ValueError.
+    children's text, its brackets folded into the first and last part and
+    the final newline into the top container's last part, so the whole text
+    exists at most twice at once.  Takes dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else raises TypeError, and a container
+    that holds itself raises ValueError.
     """
     breaks = ["\n"]        # breaks[d]: a newline and the indent of depth d
     prefixes = {}          # key -> its '"key": ' prefix
     open_ids = set()       # ids of the containers being written
 
-    def write(value, depth: int) -> str:
+    def write(value, depth: int, tail: str = "") -> str:
         is_dict = isinstance(value, dict)
         if not (is_dict or isinstance(value, (list, tuple))):
             if isinstance(value, str):
@@ -87,7 +89,7 @@ def canonical_json(obj) -> str:
                     append(prefix + int.__repr__(item))
                 else:
                     append(prefix + write(item, depth))
-            text = "{" + inner + ("," + inner).join(parts) + breaks[depth - 1] + "}"
+            opener, closer = "{", "}"
         else:
             for item in value:
                 kind = type(item)
@@ -97,11 +99,15 @@ def canonical_json(obj) -> str:
                     append(int.__repr__(item))
                 else:
                     append(write(item, depth))
-            text = "[" + inner + ("," + inner).join(parts) + breaks[depth - 1] + "]"
+            opener, closer = "[", "]"
+        parts[0] = opener + inner + parts[0]
+        parts[-1] += breaks[depth - 1] + closer + tail
         open_ids.discard(marker)
-        return text
+        return ("," + inner).join(parts)
 
-    return write(obj, 0) + "\n"
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        return write(obj, 0, "\n")
+    return write(obj, 0) + "\n"        # a scalar or an empty container
 
 
 def _write(path: str, text: str) -> None:

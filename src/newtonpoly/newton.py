@@ -233,9 +233,9 @@ def iterates() -> Iterator[NewtonPair]:
     (c, x) exponents: for n >= 1, P_n fills half of a (2^(n-1) + 1) by
     (2^n + 1) grid.  Each step packs both grids by Kronecker substitution and takes three
     squarings, P^2, Q^2 and (P + Q)^2.  packing.slot_size bounds every
-    coefficient of P' and Q', the only values unpacked, so the result is
-    exact for every n.  Pair n is built when it is asked for, and the step to
-    n + 1 is taken only when that pair is.
+    coefficient of P' and Q', the only values unpacked, by Cauchy-Schwarz,
+    so the result is exact for every n.  Pair n is built when it is asked
+    for, and the step to n + 1 is taken only when that pair is.
     """
     return starmap(_pair, _walk())
 

@@ -25,15 +25,16 @@ Two radices share that layout:
 
 ``choose_radix`` is the one choice between them: ``DigitSlots`` once packed
 P exceeds CROSSOVER_BYTES.  Milliseconds per ``newton._step`` (three
-squarings) of the walk, each route forced, median of interleaved runs on a
-shared 2-vCPU x86-64 VM under CPython 3.11; on random grids of x-degree 32
-the two routes tie between 20 and 23 kB:
+squarings) of the walk, each route forced, fastest of interleaved runs
+(three runs of 5-41 repeats) on a shared 2-vCPU x86-64 VM under CPython
+3.11; on random grids of x-degree 32 the two routes tie between 20 and
+23 kB:
 
     x-degree   packed P   ByteSlots   DigitSlots
-       16       1.8 kB       0.62        2.2
-       32        13 kB       6.9         9.0
-       64        98 kB     145          69
-      128       752 kB    2283         391
+       16       1.5 kB       0.34        1.5
+       32        12 kB       4.5         6.2
+       64        94 kB     107          49
+      128       735 kB    2961         498
 
 Both walks are kernel clients, each step on the radix ``choose_radix``
 picks: ``newton`` packs the (c, x) grids of the commutative pair, and
@@ -54,16 +55,19 @@ CROSSOVER_BYTES = 24_000            # between the x-degree 32 and 64 steps; see 
 
 
 def slot_size(p: list[int], q: list[int]) -> int:
-    """Bytes per slot of one recurrence step on the cells of P and Q.
+    """Bytes per slot of one recurrence step on the cells of P and Q, for both walks.
 
-    A coefficient of P' or Q' sums at most 3 * terms products of two
-    coefficients, terms being the larger count of nonzero cells.  Each
-    coefficient is below 2^max_bits in absolute value, so the sum is below
-    2^(2 max_bits + bitlen(terms) + 2); one more bit holds the sign.
+    A step makes P' = P P - c Q Q and Q' = P Q + Q P + Q Q (2 P Q + Q Q when
+    the walk commutes).  Cell w of a product L R sums l_u r_v over pairs of
+    cells in which v is a function of u: v = w - u on a (c, x) grid; in the
+    q-walk, with w = c^k q^s x^e, word u = c^k1 q^s1 x^e1 leaves
+    c^(k - k1) x^(e - e1) for v, and the twist q^((N - e1)(e - e1)) then
+    fixes v's power of q.  So by Cauchy-Schwarz |(L R)_w| <= |L|_2 |R|_2,
+    and as 2 |P|_2 |Q|_2 <= |P|_2^2 + |Q|_2^2, no cell of P' or Q' exceeds
+    |P|_2^2 + 2 |Q|_2^2 in absolute value.  One more bit holds the sign.
     """
-    terms = max(len(p) - p.count(0), len(q) - q.count(0))
-    max_bits = max(map(int.bit_length, p + q), default=0)
-    return (2 * max_bits + terms.bit_length() + 3 + 7) // 8
+    bound = sum(map(mul, p, p)) + 2 * sum(map(mul, q, q))
+    return (bound.bit_length() + 1 + 7) // 8
 
 
 def bias(slots: int, size: int) -> int:

@@ -166,9 +166,10 @@ def _nc_step(p: list[list[int]], q: list[list[int]],
     """One recurrence step on the slices of (P', Q'), each of x-degree ``size``.
 
     A slot of a twisted product, as of a grid product, pairs each cell of
-    one operand with at most one cell of the other, so ``slot_size`` of the
-    flattened slices sizes the slots.  packing.choose_radix picks the
-    product from the size of the largest packed P slice, slice 0.
+    one operand with at most one cell of the other, so the Cauchy-Schwarz
+    bound of ``slot_size`` on the flattened slices sizes the slots.
+    packing.choose_radix picks the product from the size of the largest
+    packed P slice, slice 0.
     """
     stride = size * size + 1
     slot = slot_size(*([cell for cells in poly for cell in cells] for poly in (p, q)))

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from sys import intern
 
 from .newton import NewtonPair
 from .polyring import Monomial
@@ -67,33 +69,44 @@ def smooth_part(value: int, bound: int, mode: str = "inclusive") -> SmoothPart:
     """Factor out all primes under the bound; smooth iff nothing is left over."""
     if value < 1:
         raise ValueError(f"value must be positive, got {value}")
-    return _factor_over(value, *_admissible_primes(bound, mode))
+    residual, factorization = _factor_over(value, *_admissible_primes(bound, mode))
+    return SmoothPart(smooth=residual == 1, residual=residual, factorization=factorization)
 
 
-def _factor_over(value: int, top: int, primes: list[int]) -> SmoothPart:
-    """smooth_part of ``value`` given the primes up to ``top``, ascending."""
+def _factor_over(value: int, top: int, primes: list[int]) -> tuple[int, dict[int, int]]:
+    """(residual, factorization) of ``value`` over the primes up to ``top``, ascending.
+
+    The power of 2, when admissible, is read from the lowest set bit; each odd
+    prime is tested once and divided out only if it divides.
+    """
     remaining = value
     factorization: dict[int, int] = {}
-    for prime in primes:
+    if top >= 2:
+        twos = (remaining & -remaining).bit_length() - 1
+        if twos:
+            factorization[2] = twos
+            remaining >>= twos
+    for prime in islice(primes, 1, None):          # the odd primes
         if prime * prime > remaining:
             break
-        multiplicity = 0
+        if remaining % prime:
+            continue
+        remaining //= prime
+        multiplicity = 1
         while remaining % prime == 0:
             remaining //= prime
             multiplicity += 1
-        if multiplicity:
-            factorization[prime] = multiplicity
+        factorization[prime] = multiplicity
     # Once prime^2 exceeds it, what remains is 1 or a single prime, larger than
     # every prime divided out, so the keys stay ascending; it counts as part of
     # the smooth factorization only if it is admissible.
     if 1 < remaining <= top:
         factorization[remaining] = 1
         remaining = 1
-    return SmoothPart(smooth=remaining == 1, residual=remaining,
-                      factorization=factorization)
+    return remaining, factorization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmoothnessEntry:
     poly: str                        # "P" or "Q"
     monomial: Monomial
@@ -111,7 +124,8 @@ class SmoothnessEntry:
             "smooth": self.smooth,
             "residual": str(self.residual),
             "largest_prime_found": self.largest_prime_found,
-            "factorization": {str(p): m for p, m in self.factorization.items()},
+            # One shared name per prime: a report repeats each one in most entries.
+            "factorization": {intern(str(p)): m for p, m in self.factorization.items()},
         }
 
 
@@ -166,12 +180,12 @@ def certify_pair(pair: NewtonPair, mode: str = "inclusive") -> SmoothnessReport:
     for name, poly in (("P", pair.p), ("Q", pair.q)):
         for monomial, coefficient in poly.sorted_terms():
             magnitude = abs(coefficient)
-            part = _factor_over(magnitude, top, primes)
+            residual, factorization = _factor_over(magnitude, top, primes)
             entries.append(SmoothnessEntry(
                 poly=name, monomial=monomial, coefficient_abs=magnitude,
-                smooth=part.smooth, residual=part.residual,
-                largest_prime_found=next(reversed(part.factorization), None),
-                factorization=part.factorization))
+                smooth=residual == 1, residual=residual,
+                largest_prime_found=next(reversed(factorization), None),
+                factorization=factorization))
             max_abs = max(max_abs, magnitude)
             if magnitude > bound:
                 exceeding += 1

@@ -1,11 +1,12 @@
 """The packed-product kernel against per-cell oracles, and its two radices against each other."""
 
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from newtonpoly import newton
+from newtonpoly import newton, qalgebra
 from newtonpoly.closedform import closed_p, closed_q
 from newtonpoly.packing import ByteSlots, DigitSlots, bias, slot_size
 
@@ -136,3 +137,39 @@ class TestRadices:
         # The crossover falls between the x-degree 32 and 64 steps.
         assert chosen == [ByteSlots] * 6 + [DigitSlots]
         assert pair.p == closed_p(7) and pair.q == closed_q(7)
+
+
+def old_slot_size(p, q):
+    """The slot rule before Cauchy-Schwarz: 3 * terms products of cells below 2^max_bits."""
+    terms = max(len(p) - p.count(0), len(q) - q.count(0))
+    max_bits = max(map(int.bit_length, p + q), default=0)
+    return (2 * max_bits + terms.bit_length() + 3 + 7) // 8
+
+
+class TestSlotRule:
+    """Each step's cells, computed in the wider slots of the old rule, fit half a slot of the new."""
+
+    def test_walk_to_eight(self, monkeypatch):
+        p, q = [0, 1], [1, 0]
+        for n in range(8):
+            half = 1 << (8 * slot_size(p, q) - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(newton, "slot_size", old_slot_size)
+                wide = newton._step(p, q, 2 ** n)
+            assert max(map(abs, chain(*wide))) < half
+            p, q = newton._step(p, q, 2 ** n)
+            assert (p, q) == wide
+
+    def test_q_walk_to_five(self, monkeypatch):
+        def flat(slices):
+            return list(chain(*slices))
+
+        p, q = [[0], [1]], [[1], []]
+        for n in range(5):
+            half = 1 << (8 * slot_size(flat(p), flat(q)) - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(qalgebra, "slot_size", old_slot_size)
+                wide = qalgebra._nc_step(p, q, 2 ** n)
+            assert max(map(abs, flat(wide[0]) + flat(wide[1]))) < half
+            p, q = qalgebra._nc_step(p, q, 2 ** n)
+            assert (p, q) == wide

@@ -1,9 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+import math
+import tracemalloc
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from newtonpoly.cli import canonical_json
 from newtonpoly.newton import iterate_pair
 from newtonpoly import smoothness
-from newtonpoly.smoothness import certify_pair, sieve_primes, smooth_part
+from newtonpoly.smoothness import SmoothPart, certify_pair, sieve_primes, smooth_part
 
 
 class TestSieve:
@@ -150,3 +154,76 @@ class TestCertifyPair:
         assert data["mode"] == "strict"
         assert data["summary"]["all_smooth"] is False
         assert any(not e["smooth"] and e["poly"] == "Q" for e in data["entries"])
+
+
+def oracle_factor_over(value, top, primes):
+    """The trial division before the power of 2 was read from the lowest set bit."""
+    remaining = value
+    factorization = {}
+    for prime in primes:
+        if prime * prime > remaining:
+            break
+        multiplicity = 0
+        while remaining % prime == 0:
+            remaining //= prime
+            multiplicity += 1
+        if multiplicity:
+            factorization[prime] = multiplicity
+    if 1 < remaining <= top:
+        factorization[remaining] = 1
+        remaining = 1
+    return remaining, factorization
+
+
+SMALL_PRIMES = sieve_primes(300)
+# Products of small prime powers, often times one prime near a bound, and arbitrary values.
+VALUES = st.one_of(
+    st.integers(1, 10 ** 40),
+    st.builds(lambda factors, big: math.prod(factors) * big,
+              st.lists(st.sampled_from(SMALL_PRIMES), max_size=30),
+              st.sampled_from([1, 1, 131, 257, 263, 1021, 2 ** 61 - 1])))
+
+
+class TestTrialDivision:
+    """_factor_over against the loop it replaced, in both modes."""
+
+    @given(VALUES, st.integers(2, 300), st.sampled_from(smoothness.MODES))
+    @example(1, 2, "inclusive")
+    @example(1, 2, "strict")
+    @example(2 ** 64, 2, "inclusive")                # 2 alone admissible
+    @example(2 ** 64, 2, "strict")                   # 2 not admissible: nothing is
+    @example(2 ** 64, 128, "inclusive")
+    @example(2 ** 10 * 17, 16, "inclusive")          # 2^k times the prime just above the bound
+    @example(2 ** 20 * 131, 128, "inclusive")
+    @example(2 ** 7 * 131, 128, "strict")
+    @example(2 ** 5 * 127, 127, "inclusive")         # the bound itself, admissible or not
+    @example(2 ** 5 * 127, 127, "strict")
+    @example(6, 2, "strict")
+    @example(2, 2, "inclusive")
+    def test_matches_the_old_loop(self, value, bound, mode):
+        top, primes = smoothness._admissible_primes(bound, mode)
+        residual, factorization = smoothness._factor_over(value, top, primes)
+        old_residual, old_factorization = oracle_factor_over(value, top, primes)
+        assert residual == old_residual
+        assert list(factorization.items()) == list(old_factorization.items())
+        assert smooth_part(value, bound, mode) == SmoothPart(
+            smooth=old_residual == 1, residual=old_residual, factorization=old_factorization)
+
+
+class TestReportMemory:
+    def test_prime_names_are_shared_across_entries(self):
+        names = {}
+        for entry in certify_pair(iterate_pair(5)).entries:
+            for name in entry.to_dict()["factorization"]:
+                assert names.setdefault(name, name) is name
+        assert len(names) == len(sieve_primes(33))
+
+    def test_report_json_peaks_below_two_and_a_half_texts(self):
+        report = certify_pair(iterate_pair(6)).to_dict()
+        tracemalloc.start()
+        try:
+            text = canonical_json(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
