@@ -38,32 +38,33 @@ def canonical_json(obj) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, so the
     reports are written here instead: each container is one join of its
-    children's text, its brackets folded into the first and last part and
-    the final newline into the top container's last part, so the whole text
-    exists at most twice at once.  Takes dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else raises TypeError, and a container
-    that holds itself raises ValueError.
+    children's text, its brackets folded into the first and last part, a
+    dict key's prefix into the first part of the key's value, and the final
+    newline into the top container's last part, so the whole text exists at
+    most twice at once.  Takes dicts with str keys, lists, tuples, str, int,
+    bool and None; anything else raises TypeError, and a container that
+    holds itself raises ValueError.
     """
     breaks = ["\n"]        # breaks[d]: a newline and the indent of depth d
     prefixes = {}          # key -> its '"key": ' prefix
     open_ids = set()       # ids of the containers being written
 
-    def write(value, depth: int, tail: str = "") -> str:
+    def write(value, depth: int, head: str = "", tail: str = "") -> str:
         is_dict = isinstance(value, dict)
         if not (is_dict or isinstance(value, (list, tuple))):
             if isinstance(value, str):
-                return _encode_str(value)
+                return head + _encode_str(value)
             if value is None:
-                return "null"
+                return head + "null"
             if value is True:
-                return "true"
+                return head + "true"
             if value is False:
-                return "false"
+                return head + "false"
             if isinstance(value, int):
-                return int.__repr__(value)
+                return head + int.__repr__(value)
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         if not value:
-            return "{}" if is_dict else "[]"
+            return head + ("{}" if is_dict else "[]")
         marker = id(value)
         if marker in open_ids:
             raise ValueError("Circular reference detected")
@@ -88,7 +89,7 @@ def canonical_json(obj) -> str:
                 elif kind is int:
                     append(prefix + int.__repr__(item))
                 else:
-                    append(prefix + write(item, depth))
+                    append(write(item, depth, prefix))
             opener, closer = "{", "}"
         else:
             for item in value:
@@ -100,13 +101,13 @@ def canonical_json(obj) -> str:
                 else:
                     append(write(item, depth))
             opener, closer = "[", "]"
-        parts[0] = opener + inner + parts[0]
+        parts[0] = head + opener + inner + parts[0]
         parts[-1] += breaks[depth - 1] + closer + tail
         open_ids.discard(marker)
         return ("," + inner).join(parts)
 
     if isinstance(obj, (dict, list, tuple)) and obj:
-        return write(obj, 0, "\n")
+        return write(obj, 0, tail="\n")
     return write(obj, 0) + "\n"        # a scalar or an empty container
 
 

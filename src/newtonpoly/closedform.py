@@ -21,9 +21,8 @@ arithmetic, independently of the row expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import DEFAULT_CAP, StructuralError, check_index
 from .polyring import ABCX, XY, Monomial, MultiPoly
@@ -53,8 +52,7 @@ def lemma1_row(m: int) -> list[int]:
     return row
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """Provenance of one closed-form contribution: which (k, j) produced it."""
 
     poly: str            # "P" or "Q"
@@ -173,8 +171,7 @@ def lemma1_rhs(n: int) -> MultiPoly:
     return MultiPoly._raw(XY, {(e, n - e): c for e, c in enumerate(_shift(sub, row)) if c})
 
 
-@dataclass(frozen=True)
-class IdentityCheckReport:
+class IdentityCheckReport(NamedTuple):
     """Outcome of checking an exact identity over a range of indices."""
 
     name: str

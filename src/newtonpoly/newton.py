@@ -60,10 +60,10 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice, starmap
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DEFAULT_CAP, DomainError, StructuralError, check_index
 from .packing import ByteSlots, choose_radix, slot_size
@@ -76,19 +76,26 @@ GCD_PRIME = (1 << 61) - 1       # Mersenne prime; the specialized gcd runs over 
 DEGENERATE_PROBES = ((1, 2, 1), (1, -2, 1), (4, 4, 1), (9, 6, 1), (1, 0, 0))
 
 
-@dataclass(frozen=True)
-class QuadraticCoeffs:
+# typing.NamedTuple refuses a __new__, so the two records that check their
+# fields subclass collections.namedtuple and check them in __new__.
+class QuadraticCoeffs(namedtuple("QuadraticCoeffs", "a b c")):
     """Exact rational coefficients of f(x) = a x^2 + b x + c, with a != 0."""
 
+    __slots__ = ()
     a: Fraction
     b: Fraction
     c: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, a, b, c) -> QuadraticCoeffs:
+        self = super().__new__(cls, Fraction(a), Fraction(b), Fraction(c))
         if self.a == 0:
             raise DomainError("a = 0: not a quadratic")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> QuadraticCoeffs:
+        # namedtuple's own _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
     @property
     def discriminant(self) -> Fraction:
@@ -102,8 +109,7 @@ class QuadraticCoeffs:
         return all(v.denominator == 1 for v in (self.a, self.b, self.c))
 
 
-@dataclass(frozen=True)
-class NewtonPair:
+class NewtonPair(namedtuple("NewtonPair", "n p q")):
     """(P_n, Q_n) on the grading grid, with the leading coefficients pinned down.
 
     Every term a^i b^j c^k x^e has i + j + k = 2^n - 1, and j + 2k + e is
@@ -112,11 +118,13 @@ class NewtonPair:
     coefficient 1 in P and 2^n in Q.
     """
 
+    __slots__ = ()
     n: int
     p: MultiPoly
     q: MultiPoly
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n, p, q) -> NewtonPair:
+        self = super().__new__(cls, n, p, q)
         if self.n < 0:
             raise StructuralError(f"iteration index must be nonnegative, got {self.n}")
         if self.p.varset != ABCX or self.q.varset != ABCX:
@@ -130,6 +138,12 @@ class NewtonPair:
                         f"i + j + k = {size - 1}, j + 2k + e = {weight}")
             if poly._terms.get((size - 1, 0, 0, weight)) != lead:
                 raise StructuralError(f"leading x-coefficient of {name} != {lead} a^{size - 1}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> NewtonPair:
+        # As in QuadraticCoeffs: _replace goes through here and runs the checks.
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p.to_dict(), "q": self.q.to_dict()}
@@ -381,8 +395,7 @@ def _specialized_gcd_degree(pair: NewtonPair, a: int, b: int, c: int) -> int:
     return _euclid_degree(*residues)
 
 
-@dataclass(frozen=True)
-class TrialWitness:
+class TrialWitness(NamedTuple):
     a: int
     b: int
     c: int
@@ -392,8 +405,7 @@ class TrialWitness:
         return {"a": self.a, "b": self.b, "c": self.c, "gcd_degree": self.gcd_degree}
 
 
-@dataclass(frozen=True)
-class CoprimalityReport:
+class CoprimalityReport(NamedTuple):
     """Certificate that P_n and Q_n share no factor, per the two routes."""
 
     n: int
@@ -404,7 +416,7 @@ class CoprimalityReport:
     verdict: str                    # "pass" or "fail"
     resultant: MultiPoly | None = None
     resultant_nonzero: bool | None = None
-    degenerate_probes: tuple[TrialWitness, ...] = field(default_factory=tuple)
+    degenerate_probes: tuple[TrialWitness, ...] = ()
 
     @property
     def passed(self) -> bool:

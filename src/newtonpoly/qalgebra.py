@@ -49,9 +49,8 @@ product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .closedform import IdentityCheckReport, p_contributions, q_contributions
 from .errors import StructuralError, check_index
@@ -230,8 +229,7 @@ def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
     return _nc_sum(n, p_contributions(n, row)), _nc_sum(n, q_contributions(n, row))
 
 
-@dataclass(frozen=True)
-class QConjectureReport:
+class QConjectureReport(NamedTuple):
     """Per-n comparison of the noncommutative recurrence against the closed forms.
 
     A mismatch is an outcome, not an error: the closed forms are conjectural.

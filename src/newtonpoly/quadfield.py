@@ -28,9 +28,8 @@ remainder raises DomainError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_CAP, DomainError, StructuralError, check_index
 from .newton import QuadraticCoeffs, iterate_value
@@ -53,8 +52,7 @@ def _integer_radicand(coeffs: QuadraticCoeffs) -> int:
 
 # ---------------------------------------------------------------- conjugacy check
 
-@dataclass(frozen=True)
-class SampleTrace:
+class SampleTrace(NamedTuple):
     z: Fraction
     status: str                     # "ok" or "skipped"
     reason: str | None = None
@@ -75,8 +73,7 @@ class SampleTrace:
         }
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(NamedTuple):
     """Pointwise agreement of n-fold Newton steps with phi^-1(phi(z)^(2^n))."""
 
     coeffs: tuple[int, int, int]

@@ -15,9 +15,9 @@ exposed; inclusive is the default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from sys import intern
+from typing import NamedTuple
 
 from .newton import NewtonPair
 from .polyring import Monomial
@@ -46,8 +46,7 @@ def _admissible_primes(bound: int, mode: str) -> tuple[int, list[int]]:
     return top, sieve_primes(top + 1) if top >= 2 else []
 
 
-@dataclass(frozen=True)
-class SmoothPart:
+class SmoothPart(NamedTuple):
     """Result of dividing out every admissible prime to full multiplicity.
 
     ``factorization`` maps each prime of the smooth part to its multiplicity,
@@ -106,8 +105,7 @@ def _factor_over(value: int, top: int, primes: list[int]) -> tuple[int, dict[int
     return remaining, factorization
 
 
-@dataclass(frozen=True, slots=True)
-class SmoothnessEntry:
+class SmoothnessEntry(NamedTuple):
     poly: str                        # "P" or "Q"
     monomial: Monomial
     coefficient_abs: int
@@ -129,8 +127,7 @@ class SmoothnessEntry:
         }
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     """Per-coefficient smoothness verdicts for one iterate pair."""
 
     n: int
