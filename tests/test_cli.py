@@ -3,6 +3,7 @@ import contextlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from newtonpoly import cli, closedform, newton, qalgebra, quadfield
 from newtonpoly.errors import StructuralError
 from newtonpoly.newton import QuadraticCoeffs, iterate_value
-from newtonpoly.polyring import MultiPoly
+from newtonpoly.polyring import ABCX, CANONICAL_ORDER, MultiPoly, VariableSet
 
 # 1, 300 zeros, 1, over 7: from the 4th Newton iterate on, numerator and
 # denominator run past Python's default 4300-digit int/str limit.
@@ -95,6 +96,15 @@ class TestGenerate:
         assert {r["poly"] for r in records} == {"P", "Q"}
         assert all(set(r) == {"poly", "n", "k", "j", "coeff", "monomial"}
                    for r in records)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_audit_lines_are_json_dumps_of_each_record(self, capsys, tmp_path, n):
+        target = tmp_path / "audit.jsonl"
+        assert cli.main(["generate", "--n", str(n), "--method", "closed",
+                         "--audit", str(target)]) == 0
+        capsys.readouterr()
+        expected = [json.dumps(r.to_dict()) + "\n" for r in closedform.closed_audit(n)]
+        assert target.read_text(encoding="utf-8").splitlines(keepends=True) == expected
 
     def test_audit_requires_closed_method(self, tmp_path):
         result = run_cli("generate", "--n", "2", "--audit", str(tmp_path / "a.jsonl"))
@@ -424,12 +434,52 @@ def test_output_has_the_standard_layout(capsys, argv, code):
 # other code point, as strings and as keys.
 JSON_TEXT = st.text(st.characters(exclude_categories=())
                     | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\udfff\xe9\U0001f600'))
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | JSON_TEXT
-    | st.integers(10**999, 10**1000) | st.integers(-10**1000, -10**999),
-    lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(JSON_TEXT, children)),
-    max_leaves=40)
+BIG_INTS = st.integers(10**999, 10**1000) | st.integers(-10**1000, -10**999)
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | JSON_TEXT | BIG_INTS
+
+
+def json_containers(children):
+    return (st.lists(children) | st.lists(children).map(tuple)
+            | st.dictionaries(JSON_TEXT, children))
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, json_containers, max_leaves=40)
+
+
+@st.composite
+def polynomials(draw) -> MultiPoly:
+    """0-4 variables, up to 6 terms, coefficients past the int/str digit limit too."""
+    varset = VariableSet(draw(st.sets(st.sampled_from(CANONICAL_ORDER), max_size=4)))
+    monomials = st.tuples(*[st.integers(0, 12)] * len(varset))
+    coeffs = (st.integers() | BIG_INTS
+              | st.integers(10**4300, 10**4301) | st.integers(-10**4301, -10**4300))
+    return MultiPoly(varset, draw(st.dictionaries(monomials, coeffs, max_size=6)))
+
+
+# Report-shaped trees with polynomial leaves at any depth.
+POLY_TREES = st.recursive(JSON_SCALARS | polynomials(), json_containers, max_leaves=12)
+
+
+def plain(obj):
+    """obj with each MultiPoly replaced by its to_dict()."""
+    if isinstance(obj, MultiPoly):
+        return obj.to_dict()
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(value) for value in obj]
+    return obj
+
+
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """sys.set_int_max_str_digits(limit) for the block; 0 lifts the limit."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 class TestCanonicalJson:
@@ -466,15 +516,54 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             cli.canonical_json(obj)
 
+    @given(POLY_TREES)
+    @example(MultiPoly.zero(VariableSet("")))
+    @example(MultiPoly.constant(VariableSet(""), -7))
+    @example({"vars": [MultiPoly.zero(ABCX)], "terms": {"": [[MultiPoly.one(ABCX)]]}})
+    @example([[[[[MultiPoly(ABCX, {(1, 2, 3, 4): 5, (0, 0, 0, 0): -6})]]]]])
+    def test_polynomial_is_written_as_its_dict(self, obj):
+        with digit_limit(0):
+            text = cli.canonical_json(obj)
+            assert text == cli.canonical_json(plain(obj))
+            assert text == self.reference(plain(obj))
 
-@contextlib.contextmanager
-def unlimited_digits():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+    @pytest.mark.parametrize("method", ["recurrence", "closed"])
+    def test_generate_writes_the_pair_dict(self, capsys, method):
+        for n in range(9):
+            pair = cli._build_pair(n, method, n)
+            assert cli.main(["generate", "--n", str(n), "--method", method]) == 0
+            assert capsys.readouterr().out == cli.canonical_json(pair.to_dict())
+
+    @pytest.mark.parametrize("a, b, c", cli.REFERENCE_TRIPLES)
+    def test_generate_rootform_writes_the_polynomial_dicts(self, capsys, a, b, c):
+        p, q = quadfield.root_form_pair(QuadraticCoeffs(a, b, c), 8)
+        assert cli.main(["generate", "--method", "rootform", "--n", "8",
+                         f"--a={a}", f"--b={b}", f"--c={c}"]) == 0
+        expected = {"n": 8, "coeffs": {"a": str(a), "b": str(b), "c": str(c)},
+                    "p": p.to_dict(), "q": q.to_dict()}
+        assert capsys.readouterr().out == cli.canonical_json(expected)
+
+    def test_pair_json_peaks_below_two_and_a_half_texts(self):
+        pair = newton.iterate_pair(6)
+        tracemalloc.start()
+        try:
+            text = cli.canonical_json({"n": pair.n, "p": pair.p, "q": pair.q})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
+
+    def test_bare_pair_is_a_list(self):
+        pair = newton.iterate_pair(2)
+        assert cli.canonical_json(pair) == self.reference([2, pair.p.to_dict(), pair.q.to_dict()])
+
+    def test_coefficient_past_the_digit_limit_is_value_error(self):
+        huge = 10 ** 4300
+        with digit_limit(4300):
+            with pytest.raises(ValueError, match="digits"):
+                str(huge)
+            with pytest.raises(ValueError, match="digits"):
+                cli.canonical_json({"p": MultiPoly(ABCX, {(0, 0, 0, 1): huge})})
 
 
 class TestDigitLimit:
@@ -482,7 +571,7 @@ class TestDigitLimit:
         result = run_cli("eval", "--n", "4", "--a", "1", "--b", "0", "--c=-1",
                          "--x", HUGE_SAMPLE)
         assert result.returncode == 0, result.stderr
-        with unlimited_digits():
+        with digit_limit(0):
             stepwise = iterate_value(QuadraticCoeffs(1, 0, -1), Fraction(HUGE_SAMPLE), 4)
             assert result.stdout == f"{stepwise}\n"
 
@@ -490,7 +579,7 @@ class TestDigitLimit:
         result = run_cli("verify", "conjugacy", "--max-n", "4", "--samples", HUGE_SAMPLE,
                          "--min-checked", "1")
         assert result.returncode == 0, result.stderr
-        with unlimited_digits():
+        with digit_limit(0):
             for entry in json.loads(result.stdout)["results"]:
                 report = entry["report"]
                 coeffs = QuadraticCoeffs(*(report["coeffs"][k] for k in "abc"))
