@@ -36,12 +36,11 @@ squarings) of the walk, each route forced, fastest of interleaved runs
        64        94 kB     107          49
       128       735 kB    2961         498
 
-Both walks are kernel clients, each step on the radix ``choose_radix``
-picks: ``newton`` packs the (c, x) grids of the commutative pair, and
-``qalgebra`` the (c, q) slices of the noncommutative pair.  The resultant
-packs its Sylvester entries (each the image of one c-column, width and
-stride 1) in ``ByteSlots``.  ``slot_size`` is the slot rule of a recurrence
-step, for both walks.
+Both walks are kernel clients, each step three squarings, P^2, Q^2 and
+(P + Q)^2, on the radix ``choose_radix`` picks: ``newton`` packs the (c, x)
+grids of the commutative pair, and ``qalgebra`` the (c, q) slices of the
+noncommutative pair.  The resultant packs its Sylvester entries (each the
+image of one c-column, width and stride 1) in ``ByteSlots``.
 """
 
 from __future__ import annotations
@@ -57,13 +56,15 @@ CROSSOVER_BYTES = 24_000            # between the x-degree 32 and 64 steps; see 
 def slot_size(p: list[int], q: list[int]) -> int:
     """Bytes per slot of one recurrence step on the cells of P and Q, for both walks.
 
-    A step makes P' = P P - c Q Q and Q' = P Q + Q P + Q Q (2 P Q + Q Q when
-    the walk commutes).  Cell w of a product L R sums l_u r_v over pairs of
-    cells in which v is a function of u: v = w - u on a (c, x) grid; in the
-    q-walk, with w = c^k q^s x^e, word u = c^k1 q^s1 x^e1 leaves
+    A step makes P' = P P - c Q Q and Q' = (P + Q)^2 - P P = P Q + Q P + Q Q.
+    Only P' and Q' are unpacked: a Kronecker image is a ring homomorphism and
+    the q-walk's twist bilinear, so the exact packed (P + Q)^2 - P P is the
+    image of Q'.  Cell w of a product L R sums l_u r_v over pairs of cells in
+    which v is a function of u: v = w - u on a (c, x) grid; in the q-walk,
+    with w = c^k q^s x^e, word u = c^k1 q^s1 x^e1 leaves
     c^(k - k1) x^(e - e1) for v, and the twist q^((N - e1)(e - e1)) then
-    fixes v's power of q.  So by Cauchy-Schwarz |(L R)_w| <= |L|_2 |R|_2,
-    and as 2 |P|_2 |Q|_2 <= |P|_2^2 + |Q|_2^2, no cell of P' or Q' exceeds
+    fixes v's power of q.  So by Cauchy-Schwarz |(L R)_w| <= |L|_2 |R|_2, and
+    as 2 |P|_2 |Q|_2 <= |P|_2^2 + |Q|_2^2, no cell of P' or Q' exceeds
     |P|_2^2 + 2 |Q|_2^2 in absolute value.  One more bit holds the sign.
     """
     bound = sum(map(mul, p, p)) + 2 * sum(map(mul, q, q))

@@ -30,10 +30,10 @@ over (a, b, c, x).
 nc_iterates() never calls nc_mul, which stays the reference product.  With
 N = 2^n every word a^i b^j c^k q^s x^e y^(N-e) of P'_n has i + j + k = N - 1
 and j + 2k + e = W, the weight (N in P'_n, N - 1 in Q'_n), so (k, e, s)
-names it.  For each e the (k, s) grid is one slice.  The walk is a client of
-packing's kernel, as the commutative one is: each step packs, multiplies,
-shifts and reads its slices on the radix packing.choose_radix picks.  Words
-multiply by the twist (Kassel, Quantum Groups, IV)
+names it.  For each e the (k, s) grid is one slice.  Each step packs its
+slices on the radix packing.choose_radix picks and takes the commutative
+walk's three squarings, P'^2, Q'^2 and (P' + Q')^2.  Words multiply by the
+twist (Kassel, Quantum Groups, IV)
 
     (x^e1 y^(N-e1)) (x^e2 y^(N-e2)) = q^((N-e1) e2) x^(e1+e2) y^(2N-e1-e2)
 
@@ -135,21 +135,19 @@ def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
 
 # ---------------------------------------------------------------- packed recurrence
 
-def _twisted(left: list, right: list, size: int, kernel) -> list:
-    """Packed slices of L R + R L, or of L^2 when right is left, for x-degree ``size``.
+def _square(slices: list, size: int, kernel) -> list:
+    """Packed slices of L^2 for packed slices L of x-degree ``size``, on radix ``kernel``.
 
-    The product of slices e1 and e2 serves both orders: twisted by
-    (size - e1) e2 in L R and by (size - e2) e1 in R L.  A square takes each
-    unordered pair once.  ``kernel`` is the step's packing radix.
+    Each unordered pair of slices is multiplied once: the product of e1 < e2
+    serves both orders, twisted by (size - e1) e2 and by (size - e2) e1.
     """
-    square = right is left
     out = [kernel.pack([], 1, 1)] * (2 * size + 1)
-    for e1, packed_l in enumerate(left):
-        for e2 in range(e1 if square else 0, size + 1):
-            product = kernel.multiply(packed_l, right[e2])
+    for e1, left in enumerate(slices):
+        for e2 in range(e1, size + 1):
+            product = kernel.multiply(left, slices[e2])
             if product:
                 twisted = kernel.shift(product, (size - e1) * e2)
-                if e1 != e2 or not square:
+                if e1 != e2:
                     twisted = kernel.add(twisted, kernel.shift(product, (size - e2) * e1))
                 out[e1 + e2] = kernel.add(out[e1 + e2], twisted)
     return out
@@ -164,22 +162,23 @@ def _nc_step(p: list[list[int]], q: list[list[int]],
              size: int) -> tuple[list[list[int]], list[list[int]]]:
     """One recurrence step on the slices of (P', Q'), each of x-degree ``size``.
 
-    A slot of a twisted product, as of a grid product, pairs each cell of
-    one operand with at most one cell of the other, so the Cauchy-Schwarz
-    bound of ``slot_size`` on the flattened slices sizes the slots.
-    packing.choose_radix picks the product from the size of the largest
-    packed P slice, slice 0.
+    Three twisted squarings, as in newton._step: P' = PP - c QQ, and
+    Q' = (P + Q)^2 - PP = PQ + QP + QQ, which holds in any ring, with P + Q
+    added slice by slice.  A slot of a twisted product, as of a grid product,
+    pairs each cell of one operand with at most one cell of the other, so the
+    Cauchy-Schwarz bound of ``slot_size`` on the flattened slices sizes the
+    slots.  packing.choose_radix picks the product from the size of the
+    largest packed P slice, slice 0.
     """
     stride = size * size + 1
     slot = slot_size(*([cell for cells in poly for cell in cells] for poly in (p, q)))
     kernel = choose_radix(slot * stride * (size // 2 + 1))(slot)
     packed_p, packed_q = ([kernel.pack(cells, _width(size, e), stride)
                            for e, cells in enumerate(poly)] for poly in (p, q))
-    pp, qq, pq_qp = (_twisted(left, right, size, kernel)
-                     for left, right in ((packed_p, packed_p), (packed_q, packed_q),
-                                         (packed_p, packed_q)))
+    pp, qq, sum_sq = (_square(slices, size, kernel) for slices in
+                      (packed_p, packed_q, list(map(kernel.add, packed_p, packed_q))))
     new_p = [kernel.subtract(v, kernel.shift(w, stride)) for v, w in zip(pp, qq)]
-    new_q = [kernel.add(v, w) for v, w in zip(pq_qp, qq)]
+    new_q = list(map(kernel.subtract, sum_sq, pp))
     return tuple([kernel.unpack(value, (weight - e) // 2 + 1, _width(2 * size, e), stride)
                   for e, value in enumerate(values)]
                  for values, weight in ((new_p, 2 * size), (new_q, 2 * size - 1)))

@@ -204,6 +204,24 @@ class TestNCIterate:
         # The largest packed P slice, 13878 bytes at the N = 16 step, is under the crossover.
         assert chosen == [ByteSlots] * 5
 
+    def test_step_takes_three_squarings(self, monkeypatch):
+        products = []
+
+        class Counting(ByteSlots):
+            def multiply(self, left, right):
+                products.append(1)
+                return left * right
+
+        p, q = [[0], [1]], [[1], []]
+        for size in (1, 2, 4):
+            p, q = qalgebra._nc_step(p, q, size)
+        expected = qalgebra._nc_step(p, q, 8)
+        monkeypatch.setattr(qalgebra, "choose_radix", lambda operand_bytes: Counting)
+        assert qalgebra._nc_step(p, q, 8) == expected
+        # A twisted square of the N + 1 slices multiplies each unordered pair once,
+        # (N + 1)(N + 2) / 2 products, so P^2, Q^2 and (P + Q)^2 take 135 at N = 8.
+        assert len(products) == 3 * 9 * 10 // 2
+
 
 def homogeneous(size, terms):
     """A polynomial over (c, q, x, y) of x, y-degree ``size`` from (k, s, e, coeff) terms."""
@@ -217,7 +235,7 @@ TERMS = st.lists(st.tuples(st.integers(0, ROWS - 1), st.integers(0, WIDTH - 1),
 
 @pytest.mark.parametrize("radix", [ByteSlots, DigitSlots])
 @given(st.integers(1, 4), TERMS, TERMS)
-def test_twisted_slice_product_matches_nc_mul(radix, size, left_terms, right_terms):
+def test_twisted_slice_square_matches_nc_mul(radix, size, left_terms, right_terms):
     left, right = (homogeneous(size, [t for t in terms if t[2] <= size])
                    for terms in (left_terms, right_terms))
     stride = 2 * WIDTH - 1 + size * size    # every twist (size - e1) e2 is at most size^2
@@ -229,17 +247,24 @@ def test_twisted_slice_product_matches_nc_mul(radix, size, left_terms, right_ter
             cells[e][k * WIDTH + s] = coeff
         return [kernel.pack(grid, WIDTH, stride) for grid in cells]
 
-    def twisted(left_slices, right_slices):
+    def unpacked(slices):
         product = {}
-        for e, value in enumerate(qalgebra._twisted(left_slices, right_slices, size, kernel)):
+        for e, value in enumerate(slices):
             for index, coeff in enumerate(kernel.unpack(value, 2 * ROWS - 1, stride, stride)):
                 k, s = divmod(index, stride)
                 product[0, 0, k, s, e, 2 * size - e] = coeff
         return MultiPoly(ABCQXY, product)
 
-    assert twisted(packed(left), packed(right)) == nc_mul(left, right) + nc_mul(right, left)
-    square = packed(left)
-    assert twisted(square, square) == nc_mul(left, left)
+    def square(slices):
+        return qalgebra._square(slices, size, kernel)
+
+    packed_left, packed_right = packed(left), packed(right)
+    assert unpacked(square(packed_left)) == nc_mul(left, left)
+    # (L + R)^2 - L^2 - R^2 = L R + R L in any ring; subtracted packed, before
+    # unpacking, as _nc_step forms Q' from (P + Q)^2 - P^2.
+    cross = map(kernel.subtract, square(list(map(kernel.add, packed_left, packed_right))),
+                map(kernel.add, square(packed_left), square(packed_right)))
+    assert unpacked(cross) == nc_mul(left, right) + nc_mul(right, left)
 
 
 class TestNCClosed:
