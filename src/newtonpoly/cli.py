@@ -217,12 +217,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify suites
 
-def _pairs(max_n: int, cap: int) -> Iterator[NewtonPair]:
-    """(P_n, Q_n) for n = 0..max_n from one recurrence walk.
-
-    An n above ``cap`` is refused before the walk takes the step to it.
-    """
-    walk = newton.iterates()
+def _capped(walk: Iterator, max_n: int, cap: int) -> Iterator:
+    """Items n = 0..max_n of an ascending walk; an n above ``cap`` is refused before its step."""
     for n in range(max_n + 1):
         check_index(n, cap)
         yield next(walk)
@@ -232,7 +228,7 @@ def _suite_equivalence(args) -> tuple[bool, dict]:
     per_n = []
     closed = []                      # (closed_p(n), closed_q(n)), built once per n
     ok = True
-    for n, pair in enumerate(_pairs(args.max_n, args.cap)):
+    for n, pair in enumerate(_capped(newton.iterates(), args.max_n, args.cap)):
         closed.append((closedform.closed_p(n, cap=args.cap), closedform.closed_q(n, cap=args.cap)))
         match = (pair.p, pair.q) == closed[n]
         per_n.append({"n": n, "recurrence_equals_closed": match})
@@ -279,7 +275,7 @@ def _suite_lemma1(args) -> tuple[bool, dict]:
 def _suite_coprime(args) -> tuple[bool, dict]:
     reports = []
     ok = True
-    for pair in _pairs(args.max_n, args.cap):
+    for pair in _capped(newton.iterates(), args.max_n, args.cap):
         result = newton.coprimality_check(pair, trials=args.trials, seed=args.seed)
         reports.append(result.to_dict())
         ok = ok and result.passed
@@ -303,24 +299,25 @@ def _suite_conjugacy(args) -> tuple[bool, dict]:
     return ok, report
 
 
-# q = 1, y = 1 maps the noncommutative pair onto the commutative one over (a, b, c, x).
-_COMMUTATIVE = {"q": 1, "y": 1}
+def _at_q_one(slices: list[list[int]], size: int) -> list[int]:
+    """The (c, x) grid of a q-walk polynomial at q = y = 1: cell (c, e) sums c-row c of slice e."""
+    columns = [list(map(sum, zip(*[iter(cells)] * (e * (size - e) + 1))))
+               for e, cells in enumerate(slices)]
+    # Slice 0 has every c-row of the grid; a slice of larger e may have fewer.
+    return [column[c] if c < len(column) else 0 for c in range(len(columns[0]))
+            for column in columns]
 
 
 def _suite_qconjecture(args) -> tuple[bool, dict]:
     for n in (args.max_n, args.commutative_max_n):
         check_index(n, args.cap)
     # One ascending walk builds each noncommutative pair once, for both checks.
-    walk = list(islice(qalgebra.nc_iterates(), max(args.max_n, args.commutative_max_n) + 1))
+    walk = list(_capped(qalgebra.nc_walk(), max(args.max_n, args.commutative_max_n), args.cap))
     result = qalgebra.conjecture_check(args.max_n, cap=args.cap, recurrence=walk)
-    commutative = []
-    commutative_ok = True
-    for (nc_p, nc_q), pair in zip(walk, _pairs(args.commutative_max_n, args.cap)):
-        match = (nc_p.substitute(_COMMUTATIVE) == pair.p
-                 and nc_q.substitute(_COMMUTATIVE) == pair.q)
-        commutative.append({"n": pair.n, "match": match})
-        commutative_ok = commutative_ok and match
-    ok = result.passed and commutative_ok
+    grids = _capped(newton._walk(), args.commutative_max_n, args.cap)
+    commutative = [{"n": n, "match": _at_q_one(nc_p, 2 ** n) == p and _at_q_one(nc_q, 2 ** n) == q}
+                   for (nc_p, nc_q), (n, p, q) in zip(walk, grids)]
+    ok = result.passed and all(entry["match"] for entry in commutative)
     report = {"suite": "qconjecture", "conjecture": result.to_dict(),
               "commutative_specialization": commutative, "passed": ok}
     return ok, report

@@ -76,10 +76,10 @@ class AuditRecord(NamedTuple):
 def p_contributions(n: int, row: Sequence[T]) -> Iterator[tuple[int, int, T, Monomial]]:
     """(k, j, coefficient, monomial) for each term of the P_n double sum.
 
-    The coefficient is ``row[k] * -lemma1_row(2^n-k-1)[j]`` for an outer row
-    k = 0..2^n: C(2^n, k) gives the commutative sum, a q-binomial row the
-    q-deformed one.  The monomial a^(k+j) b^(2^n-k-2j-2) c^(j+1) x^k is over
-    (a, b, c, x); the leading term a^(2^n-1) x^(2^n) comes first, as k = 2^n.
+    The coefficient is ``row[k] * -lemma1_row(2^n-k-1)[j]`` for an outer row k = 0..2^n:
+    C(2^n, k) gives the commutative sum, ones the factor that qalgebra.nc_closed scales
+    by [2^n, k].  The monomial a^(k+j) b^(2^n-k-2j-2) c^(j+1) x^k is over (a, b, c, x);
+    the leading term a^(2^n-1) x^(2^n) comes first, as k = 2^n.
 
     One term per contribution: the exponents of x and c give back (k, j), and
     only the leading term has x^(2^n).  No coefficient is zero, since

@@ -11,23 +11,23 @@ the Pascal-type recurrence
 
     [n, k] = [n-1, k-1] + q^k [n-1, k]
 
-with the rational-function product formula used only as an integer-valued
-cross-check at fixed q.  Nothing is cached: qbinomial(n, k) walks rows 0..n
-afresh, so a caller that needs many entries iterates qbinomial_rows() once
-instead of calling qbinomial(n, k) in a loop.
+on integer lists, entry k of row n the k (n - k) + 1 q-coefficients of [n, k],
+which qbinomial_rows() lifts to MultiPoly; the product formula is only an
+integer-valued cross-check at fixed q.  Nothing is cached: a caller that
+needs many entries walks the rows once, not qbinomial(n, k) in a loop.
 
 The noncommutative pair (P'_n, Q'_n) is grown by the recurrence
 
     P'_{n+1} = a P'^2 - c Q'^2
     Q'_{n+1} = a P' Q' + a Q' P' + b Q'^2      (P'_0, Q'_0) = (x, y)
 
-walked once in ascending n by nc_iterates(), and compared against the
+walked once in ascending n by nc_walk(), and compared against the
 conjectured closed forms, which are the commutative double sums of
 closedform with the outer binomial q-deformed and a trailing y^(2^n - k).
 Substituting q = 1, y = 1 collapses everything back to the commutative pair
 over (a, b, c, x).
 
-nc_iterates() never calls nc_mul, which stays the reference product.  With
+The walk never calls nc_mul, which stays the reference product.  With
 N = 2^n every word a^i b^j c^k q^s x^e y^(N-e) of P'_n has i + j + k = N - 1
 and j + 2k + e = W, the weight (N in P'_n, N - 1 in Q'_n), so (k, e, s)
 names it.  For each e the (k, s) grid is one slice.  Each step packs its
@@ -44,12 +44,14 @@ The grading fixes every layout.  Slice e has (W - e) // 2 + 1 rows, since
 j >= 0, of e (N - e) + 1 cells: its q-degree is at most e (N - e), at N = 1
 and by induction, since e1 (N - e1) + e2 (N - e2) + (N - e1) e2 <= e (2N - e)
 for e = e1 + e2.  So the q-stride N^2 + 1 exceeds every q exponent of a
-product.
+product.  nc_closed(n) writes the closed side in the same slices, so
+conjecture_check compares integer lists; nc_iterates() lifts the walk.
 """
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import compress, count, islice, repeat
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .closedform import IdentityCheckReport, p_contributions, q_contributions
@@ -59,31 +61,30 @@ from .polyring import ABCQ, ABCQXY, MultiPoly, nc_mul
 
 DEFAULT_NC_CAP = 4
 
-Word = tuple[int, int]      # (i, j) for the normal-ordered word x^i y^j
+Slices = list[list[int]]    # slice e: the (c, q) grid of the words x^e y^(N - e)
 
-_ZERO3 = MultiPoly.zero(ABCQ)
-_ONE3 = MultiPoly.one(ABCQ)
+
+def qbinomial_int_rows() -> Iterator[list[list[int]]]:
+    """Rows 0, 1, 2, ... of Gaussian polynomials, entry k of row n the q-coefficients of [n, k]."""
+    row = [[1]]
+    for n in count(1):
+        yield row
+        # [n-1, k-1] and q^k [n-1, k], each padded to the k (n - k) + 1 cells of [n, k].
+        row = [[1], *(list(map(add, row[k - 1] + [0] * (n - k), [0] * k + row[k]))
+                      for k in range(1, n)), [1]]
 
 
 def qbinomial_rows() -> Iterator[tuple[MultiPoly, ...]]:
     """Rows 0, 1, 2, ... of Gaussian polynomials; row n is ([n, 0], ..., [n, n])."""
-    row = (_ONE3,)
-    while True:
-        yield row
-        inner = (row[k - 1] + MultiPoly.variable(ABCQ, "q", k) * row[k]
-                 for k in range(1, len(row)))
-        row = (_ONE3, *inner, _ONE3)
-
-
-def _qbinomial_row(n: int) -> tuple[MultiPoly, ...]:
-    return next(islice(qbinomial_rows(), n, None))
+    keys = []       # q^s is (0, 0, 0, s), one tuple shared by every row; no coefficient is 0
+    for row in qbinomial_int_rows():
+        keys += [(0, 0, 0, s) for s in range(len(keys), len(row[len(row) // 2]))]
+        yield tuple(MultiPoly._raw(ABCQ, dict(zip(keys, cells))) for cells in row)
 
 
 def qbinomial(n: int, k: int) -> MultiPoly:
     """The Gaussian polynomial [n, k]_q over (a, b, c, q); zero out of range."""
-    if n < 0 or k < 0 or k > n:
-        return _ZERO3
-    return _qbinomial_row(n)[k]
+    return next(islice(qbinomial_rows(), n, None))[k] if 0 <= k <= n else MultiPoly.zero(ABCQ)
 
 
 def qbinomial_product_value(n: int, k: int, q_value: int) -> int:
@@ -108,26 +109,18 @@ def qbinomial_product_value(n: int, k: int, q_value: int) -> int:
     return quotient
 
 
-_ONE = MultiPoly.one(ABCQXY)
-_X = MultiPoly.variable(ABCQXY, "x")
-_Y = MultiPoly.variable(ABCQXY, "y")
-_X_INDEX = ABCQXY.index("x")
-_Y_INDEX = ABCQXY.index("y")
-
-
 def qbinomial_theorem_check(max_n: int) -> IdentityCheckReport:
     """Check (x + y)^n = sum_k [n, k]_q x^k y^(n-k) for 1 <= n <= max_n."""
     if max_n < 1:
         raise StructuralError(f"max_n must be at least 1 to check anything, got {max_n}")
-    x_plus_y = _X + _Y
-    power = _ONE
-    for n, row in zip(range(1, max_n + 1), islice(qbinomial_rows(), 1, None)):
+    x_plus_y = MultiPoly.variable(ABCQXY, "x") + MultiPoly.variable(ABCQXY, "y")
+    power = MultiPoly.one(ABCQXY)
+    for n, row in zip(range(1, max_n + 1), islice(qbinomial_int_rows(), 1, None)):
         power = nc_mul(power, x_plus_y)
-        # [n, k] over (a, b, c, q) attached to the word x^k y^(n - k): k and the power
-        # of q name each term, so the terms are distinct.
-        expected = MultiPoly._raw(ABCQXY, {(a, b, c, q, k, n - k): value
-                                           for k, coeff in enumerate(row)
-                                           for (a, b, c, q), value in coeff._terms.items()})
+        # [n, k] at the word x^k y^(n - k): k and the power of q name each term.
+        expected = MultiPoly._raw(ABCQXY, {(0, 0, 0, s, k, n - k): value
+                                           for k, cells in enumerate(row)
+                                           for s, value in enumerate(cells)})
         if power != expected:
             return IdentityCheckReport("q-binomial theorem", max_n, False, n)
     return IdentityCheckReport("q-binomial theorem", max_n, True)
@@ -158,8 +151,7 @@ def _width(size: int, e: int) -> int:
     return e * (size - e) + 1
 
 
-def _nc_step(p: list[list[int]], q: list[list[int]],
-             size: int) -> tuple[list[list[int]], list[list[int]]]:
+def _nc_step(p: Slices, q: Slices, size: int) -> tuple[Slices, Slices]:
     """One recurrence step on the slices of (P', Q'), each of x-degree ``size``.
 
     Three twisted squarings, as in newton._step: P' = PP - c QQ, and
@@ -184,7 +176,7 @@ def _nc_step(p: list[list[int]], q: list[list[int]],
                  for values, weight in ((new_p, 2 * size), (new_q, 2 * size - 1)))
 
 
-def _nc_lift(slices: list[list[int]], size: int, weight: int) -> MultiPoly:
+def _nc_lift(slices: Slices, size: int, weight: int) -> MultiPoly:
     """Slices to polynomial: i + j + k = size - 1 and j + 2k + e = weight fix i and j."""
     terms = {}
     for e, cells in enumerate(slices):
@@ -196,13 +188,18 @@ def _nc_lift(slices: list[list[int]], size: int, weight: int) -> MultiPoly:
     return MultiPoly._raw(ABCQXY, terms)
 
 
+def nc_walk() -> Iterator[tuple[Slices, Slices]]:
+    """Slices of (P'_0, Q'_0), (P'_1, Q'_1), ...; the step to n + 1 is taken when pair n + 1 is."""
+    p, q = [[0], [1]], [[1], []]        # P'_0 = x, Q'_0 = y
+    for n in count():
+        yield p, q
+        p, q = _nc_step(p, q, 2 ** n)
+
+
 def nc_iterates() -> Iterator[tuple[MultiPoly, MultiPoly]]:
-    """(P'_0, Q'_0), (P'_1, Q'_1), ... by the noncommutative recurrence, on packed slices."""
-    p, q, size = [[0], [1]], [[1], []], 1       # P'_0 = x, Q'_0 = y
-    while True:
-        yield _nc_lift(p, size, size), _nc_lift(q, size, size - 1)
-        p, q = _nc_step(p, q, size)
-        size *= 2
+    """(P'_0, Q'_0), (P'_1, Q'_1), ... by the noncommutative recurrence: nc_walk() lifted."""
+    for n, (p, q) in enumerate(nc_walk()):
+        yield _nc_lift(p, 2 ** n, 2 ** n), _nc_lift(q, 2 ** n, 2 ** n - 1)
 
 
 def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
@@ -211,21 +208,33 @@ def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]
     return next(islice(nc_iterates(), n, None))
 
 
-def _nc_sum(n: int, contributions) -> MultiPoly:
-    # Each closed-form term of x^k becomes the word x^k y^(2^n - k), one word per
-    # term of its coefficient, a polynomial in q alone; (k, j, q) name a word, so
-    # no two words coincide.
-    size = 2 ** n
-    return MultiPoly._raw(ABCQXY, {(a, b, c, q, k, size - k): value
-                                   for k, _j, coeff, (a, b, c, _x) in contributions
-                                   for (_a, _b, _c, q), value in coeff._terms.items()})
+def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[list, list]:
+    """The conjectured closed forms as (P'_n, Q'_n) slices, in the layout of nc_walk().
 
-
-def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
-    """The conjectured closed forms: q-deform the outer binomial, append y^(2^n - k)."""
+    closedform's double sums, outer binomial q-deformed and y^(2^n - k) appended:
+    term (k, j, t, (i, j, c, e)) adds t [2^n, k] to c-row c of slice k.  A term
+    off the grading, or with e != k, makes slice e None, unequal to any walk slice.
+    """
     check_index(n, cap)
-    row = _qbinomial_row(2 ** n)
-    return _nc_sum(n, p_contributions(n, row)), _nc_sum(n, q_contributions(n, row))
+    size = 2 ** n
+    gauss = next(islice(qbinomial_int_rows(), size, None))
+    ones = [1] * (size + 1)     # so each term's coefficient is its integer factor alone
+    pair = []
+    for terms, weight in ((p_contributions(n, ones), size), (q_contributions(n, ones), size - 1)):
+        slices = [[0] * (((weight - e) // 2 + 1) * _width(size, e)) for e in range(size + 1)]
+        for k, _j, coeff, (i, j, c, e) in terms:
+            if not 0 <= e <= size:
+                raise StructuralError(f"closed-form term a^{i} b^{j} c^{c} x^{e}: "
+                                      f"no word of degree {size}")
+            cells = slices[e]
+            if (cells is None or k != e or i + j + c != size - 1 or j + 2 * c + e != weight
+                    or i < 0 or j < 0 or c < 0):
+                slices[e] = None
+                continue
+            row = slice(c * len(gauss[e]), (c + 1) * len(gauss[e]))
+            cells[row] = map(add, cells[row], map(mul, gauss[e], repeat(coeff)))
+        pair.append(slices)
+    return tuple(pair)
 
 
 class QConjectureReport(NamedTuple):
@@ -242,31 +251,24 @@ class QConjectureReport(NamedTuple):
         return {"max_n": self.max_n, "passed": self.passed, "per_n": list(self.per_n)}
 
 
-def _first_differing_word(left: MultiPoly, right: MultiPoly) -> Word | None:
-    """The largest word x^i y^j, by (i + j, i), whose coefficients differ."""
-    words = ((mono[_X_INDEX], mono[_Y_INDEX]) for mono in (left - right)._terms)
-    return max(words, key=lambda w: (w[0] + w[1], w[0]), default=None)
-
-
 def conjecture_check(max_n: int, cap: int = DEFAULT_NC_CAP,
-                     recurrence: Iterable[tuple[MultiPoly, MultiPoly]] | None = None,
+                     recurrence: Iterable[tuple[Slices, Slices]] | None = None,
                      ) -> QConjectureReport:
-    """Compare (P'_n, Q'_n) with nc_closed(n) for 0 <= n <= max_n.
+    """Compare the slices of (P'_n, Q'_n) with nc_closed(n) for 0 <= n <= max_n.
 
-    ``recurrence`` yields the recurrence pairs from n = 0 up; by default a
-    fresh ``nc_iterates()`` walk builds them.  A walk that ends before
-    max_n raises StructuralError rather than report the n it never reached.
+    ``recurrence`` yields slice pairs from n = 0 up, by default a fresh
+    ``nc_walk()``.  Every word has degree 2^n, so the largest differing word
+    by (i + j, i) is x^e y^(2^n - e) for the largest e whose slices differ,
+    P before Q.  A walk that ends before max_n raises StructuralError.
     """
     check_index(max_n, cap)
-    if recurrence is None:
-        recurrence = nc_iterates()
     per_n: list[dict] = []
-    for n, pair in enumerate(islice(recurrence, max_n + 1)):
-        word = None
-        for poly, rec, closed in zip("PQ", pair, nc_closed(n, cap=cap)):
-            if rec != closed:
-                x, y = _first_differing_word(rec, closed)
-                word = {"poly": poly, "x": x, "y": y}
+    for n, pair in enumerate(islice(nc_walk() if recurrence is None else recurrence, max_n + 1)):
+        size, word = 2 ** n, None
+        for poly, walk, closed in zip("PQ", pair, nc_closed(n, cap=cap)):
+            e = next((e for e in range(size, -1, -1) if walk[e] != closed[e]), None)
+            if e is not None:
+                word = {"poly": poly, "x": e, "y": size - e}
                 break
         per_n.append({"n": n, "match": word is None, "first_differing_word": word})
     if len(per_n) <= max_n:

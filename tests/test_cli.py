@@ -364,6 +364,31 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert len(calls) == 3
 
+    def test_qconjecture_specializes_each_c_row_at_q_1(self, monkeypatch, capsys):
+        # At q = y = 1 a c-row of a slice sums into one cell of the commutative grid:
+        # weight moved between two q-cells of the row keeps the specialization and
+        # breaks the conjecture; one changed cell breaks both.
+        honest = qalgebra.nc_walk
+
+        def walk():
+            for n, (p, q) in enumerate(honest()):
+                if n == 2:
+                    p = [list(cells) for cells in p]
+                    p[2][0] += 1        # slice 2 at N = 4: c-rows of 5 q-cells
+                    p[2][1] -= 1
+                if n == 3:
+                    q = [list(cells) for cells in q]
+                    q[1][0] += 1
+                yield p, q
+        monkeypatch.setattr(qalgebra, "nc_walk", walk)
+        argv = ["verify", "qconjecture", "--max-n", "3", "--commutative-max-n", "3"]
+        assert cli.main(argv) == cli.EXIT_FAIL
+        report = json.loads(capsys.readouterr().out)
+        assert [entry["match"] for entry in report["conjecture"]["per_n"]] == [
+            True, True, False, False]
+        assert [entry["match"] for entry in report["commutative_specialization"]] == [
+            True, True, True, False]
+
     @pytest.mark.parametrize("argv, steps", [
         (["verify", "equivalence", "--max-n", "5", "--rootform-max-n", "0"], 5),
         (["verify", "coprime", "--max-n", "3", "--trials", "1"], 3),

@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import islice, starmap
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +11,14 @@ from newtonpoly.newton import iterate_pair
 from newtonpoly.packing import ByteSlots, DigitSlots, slot_size
 from newtonpoly.polyring import ABCQ, ABCQXY, ABCX, MultiPoly, nc_mul
 from newtonpoly.qalgebra import (
-    _first_differing_word,
+    _nc_lift,
     conjecture_check,
     nc_closed,
     nc_iterate,
     nc_iterates,
+    nc_walk,
     qbinomial,
+    qbinomial_int_rows,
     qbinomial_product_value,
     qbinomial_rows,
     qbinomial_theorem_check,
@@ -50,6 +52,22 @@ def words(poly):
     return {mono[4:] for mono, _ in poly.sorted_terms()}
 
 
+def lifted(n, slices):
+    """A slice pair of nc_walk() or nc_closed(n), lifted through _nc_lift."""
+    size = 2 ** n
+    return _nc_lift(slices[0], size, size), _nc_lift(slices[1], size, size - 1)
+
+
+def pascal_oracle():
+    """Rows of Gaussian polynomials by the Pascal recurrence in MultiPoly arithmetic."""
+    one = MultiPoly.one(ABCQ)
+    row = (one,)
+    while True:
+        yield row
+        row = (one, *(row[k - 1] + MultiPoly.variable(ABCQ, "q", k) * row[k]
+                      for k in range(1, len(row))), one)
+
+
 class TestQBinomial:
     def test_edge_column(self):
         for n in range(8):
@@ -68,6 +86,12 @@ class TestQBinomial:
             (qpoly(1),), (qpoly(1), qpoly(1)), (qpoly(1), qpoly(1, 1), qpoly(1))]
         # each walk starts afresh at row 0
         assert next(qbinomial_rows()) == (qpoly(1),)
+
+    def test_rows_equal_the_multipoly_pascal_oracle(self):
+        assert list(islice(qbinomial_rows(), 25)) == list(islice(pascal_oracle(), 25))
+        # The integer rows have the layout of a slice row: k (n - k) + 1 cells for [n, k].
+        for n, row in enumerate(islice(qbinomial_int_rows(), 25)):
+            assert [len(cells) for cells in row] == [k * (n - k) + 1 for k in range(n + 1)]
 
     def test_out_of_range_is_zero(self):
         assert qbinomial(3, 5).is_zero
@@ -189,7 +213,7 @@ class TestNCIterate:
         assert list(islice(nc_iterates(), 5)) == expected
 
     def test_n5_matches_closed_form(self):
-        assert nc_iterate(5, cap=5) == nc_closed(5, cap=5)
+        assert nc_iterate(5, cap=5) == lifted(5, nc_closed(5, cap=5))
 
     def test_walk_to_five_stays_on_byte_slots(self, monkeypatch):
         chosen = []
@@ -269,23 +293,43 @@ def test_twisted_slice_square_matches_nc_mul(radix, size, left_terms, right_term
 
 class TestNCClosed:
     def test_seeds(self):
-        p, q = nc_closed(0)
+        assert nc_closed(0) == ([[0], [1]], [[1], []])
+        p, q = lifted(0, nc_closed(0))
         assert p == X
         assert q == Y
 
     def test_first_iterate(self):
-        assert nc_closed(1) == nc_iterate(1)
+        assert lifted(1, nc_closed(1)) == nc_iterate(1)
 
     def test_xy3_coefficient_of_q2(self):
         # [4,1]_q (a b^2 - a^2 c), the k = 1 column of the closed form
-        _, q = nc_closed(2)
+        _, q = lifted(2, nc_closed(2))
         gauss41 = qpoly(1, 1, 1, 1)
         expected = gauss41 * (scalar(1, a=1, b=2) - scalar(1, a=2, c=1))
         assert word_coefficient(q, 1, 3) == expected
 
     def test_leading_word_of_p(self):
-        p, _ = nc_closed(2)
+        p, _ = lifted(2, nc_closed(2))
         assert word_coefficient(p, 4, 0) == scalar(1, a=3)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_slices_have_the_layout_of_the_walk(self, n):
+        size = 2 ** n
+        walk = next(islice(nc_walk(), n, None))
+        for closed, recurrence, weight in zip(nc_closed(n, cap=5), walk, (size, size - 1)):
+            assert [len(cells) for cells in closed] == [len(cells) for cells in recurrence] == [
+                ((weight - e) // 2 + 1) * (e * (size - e) + 1) for e in range(size + 1)]
+
+    def test_word_outside_the_degree_is_refused(self, monkeypatch):
+        honest = qalgebra.q_contributions
+
+        def shifted(n, row):
+            for k, j, coeff, (i, b, c, e) in honest(n, row):
+                yield k, j, coeff, (i, b, c, e + 2 * (n == 1 and k == 1))
+        monkeypatch.setattr(qalgebra, "q_contributions", shifted)
+        nc_closed(0)
+        with pytest.raises(StructuralError, match="a\\^1 b\\^0 c\\^0 x\\^3: no word of degree 2"):
+            nc_closed(1)
 
 
 class TestConjecture:
@@ -306,8 +350,11 @@ class TestConjecture:
         def perturbed(n, cap):
             p, q = honest(n, cap)
             if n == 1:       # P and Q both differ; P is named
-                return p + nc(2, b=1, x=1, y=1), q - nc(1, c=1, y=2)
-            return (p, q + nc(1, c=1, x=1, y=3)) if n == 2 else (p, q)
+                p[1][0] += 2                # + 2 b x y: slice 1, c-row 0, q^0
+                q[0][0] -= 1                # - b y^2: slice 0, c-row 0, q^0
+            if n == 2:
+                q[1][4] += 1                # + a^2 c x y^3: slice 1, c-row 1, q^0
+            return p, q
         monkeypatch.setattr(qalgebra, "nc_closed", perturbed)
         report = conjecture_check(2)
         assert report.passed is False
@@ -318,18 +365,124 @@ class TestConjecture:
     def test_cap_refused_before_any_construction(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a pair before checking the cap")
-        monkeypatch.setattr(qalgebra, "nc_iterates", unreachable)
-        monkeypatch.setattr(qalgebra, "qbinomial_rows", unreachable)
+        for name in ("nc_iterates", "nc_walk", "qbinomial_rows", "qbinomial_int_rows"):
+            monkeypatch.setattr(qalgebra, name, unreachable)
         with pytest.raises(ResourceCapError, match="n = 7 exceeds the cap 4"):
             conjecture_check(7)
 
     def test_short_walk_is_refused(self):
         with pytest.raises(StructuralError, match="yielded 2 pairs, not the 5 of n = 0..4"):
-            conjecture_check(4, recurrence=list(islice(nc_iterates(), 2)))
+            conjecture_check(4, recurrence=list(islice(nc_walk(), 2)))
 
-    def test_first_differing_word_is_the_largest(self):
-        left = nc(1, x=2, y=1) + nc(2, a=1, x=1, y=2) + nc(1, y=3)
-        right = nc(1, x=2, y=1) + nc(1, a=1, x=1, y=2) + nc(5, b=1, x=0, y=1)
-        # x^2 y agrees; x y^2 is the largest word of degree 3 that differs
-        assert _first_differing_word(left, right) == (1, 2)
-        assert _first_differing_word(left, left) is None
+    def test_first_differing_word_is_the_largest(self, monkeypatch):
+        honest = nc_closed
+
+        def perturbed(n, cap):
+            p, q = honest(n, cap)
+            if n == 2:       # P differs at x^0 y^4 only; it is named before Q's x^3 y
+                p[0][0] += 1
+                q[3][0] += 1
+            if n == 3:       # Q differs at x^2 y^6 and x^5 y^3; the larger word is named
+                q[2][0] += 1
+                q[5][-1] -= 1
+            return p, q
+        monkeypatch.setattr(qalgebra, "nc_closed", perturbed)
+        assert [entry["first_differing_word"] for entry in conjecture_check(3).per_n] == [
+            None, None, {"poly": "P", "x": 0, "y": 4}, {"poly": "Q", "x": 5, "y": 3}]
+
+
+# ---------------------------------------------------------------- slices against MultiPolys
+
+def multipoly_check(max_n, recurrence):
+    """per_n of the conjecture check on lifted MultiPolys, as it ran before it compared slices.
+
+    The closed side is built term by term from the q-binomial rows over
+    (a, b, c, q), and the first differing word is the largest word x^i y^j
+    of the difference by (i + j, i).
+    """
+    per_n = []
+    for n, pair in zip(range(max_n + 1), recurrence):
+        size = 2 ** n
+        row = next(islice(qbinomial_rows(), size, None))
+        word = None
+        for poly, rec, contributions in zip("PQ", pair, (qalgebra.p_contributions,
+                                                         qalgebra.q_contributions)):
+            closed = MultiPoly._raw(ABCQXY, {
+                (a, b, c, q, k, size - k): value
+                for k, _j, coeff, (a, b, c, _x) in contributions(n, row)
+                for (_a, _b, _c, q), value in coeff._terms.items()})
+            if rec != closed:
+                differing = ((mono[4], mono[5]) for mono in (rec - closed)._terms)
+                x, y = max(differing, key=lambda w: (w[0] + w[1], w[0]))
+                word = {"poly": poly, "x": x, "y": y}
+                break
+        per_n.append({"n": n, "match": word is None, "first_differing_word": word})
+    return per_n
+
+
+@pytest.fixture(scope="module")
+def walk_to_five():
+    return list(islice(nc_walk(), 6))
+
+
+def _changed_closed_cell(monkeypatch, walk):
+    honest = qbinomial_int_rows
+
+    def rows():                 # [4, 1] and [16, 5] each change in one q-coefficient
+        for m, row in enumerate(honest()):
+            if m in (4, 16):
+                row = [list(cells) for cells in row]
+                row[1 if m == 4 else 5][1 if m == 4 else 3] += 7
+            yield row
+    monkeypatch.setattr(qalgebra, "qbinomial_int_rows", rows)
+    return walk
+
+
+def _wrong_b_exponent(monkeypatch, walk):
+    honest = qalgebra.p_contributions
+
+    def terms(n, row):
+        for k, j, coeff, (a, b, c, x) in honest(n, row):
+            yield k, j, coeff, (a, b + (n == 3 and (k, j) == (2, 0)), c, x)
+    monkeypatch.setattr(qalgebra, "p_contributions", terms)
+    return walk
+
+
+def _missing_closed_word(monkeypatch, walk):
+    honest = qalgebra.p_contributions
+    monkeypatch.setattr(qalgebra, "p_contributions", lambda n, row: (
+        term for term in honest(n, row) if n != 5 or term[0] != 3))
+    return walk
+
+
+def _changed_walk_cell(monkeypatch, walk):
+    walk = [([list(cells) for cells in p], q) for p, q in walk]
+    walk[4][0][6][10] += 1
+    return walk
+
+
+def _q_only(monkeypatch, walk):
+    honest = qalgebra.q_contributions
+
+    def terms(n, row):
+        for k, j, coeff, mono in honest(n, row):
+            yield k, j, coeff + coeff if n == 5 and (k, j) == (7, 1) else coeff, mono
+    monkeypatch.setattr(qalgebra, "q_contributions", terms)
+    return walk
+
+
+@pytest.mark.parametrize("mutate, mismatched", [
+    (lambda monkeypatch, walk: walk, []),
+    (_changed_closed_cell, [2, 4]),
+    (_wrong_b_exponent, [3]),
+    (_missing_closed_word, [5]),
+    (_changed_walk_cell, [4]),
+    (_q_only, [5]),
+], ids=["honest", "changed-closed-cell", "wrong-b-exponent", "missing-closed-word",
+        "changed-walk-cell", "q-only"])
+def test_slice_check_agrees_with_the_multipoly_check(monkeypatch, walk_to_five, mutate,
+                                                     mismatched):
+    walk = mutate(monkeypatch, walk_to_five)
+    report = conjecture_check(5, cap=5, recurrence=walk)
+    assert list(report.per_n) == multipoly_check(5, starmap(lifted, enumerate(walk)))
+    assert [entry["n"] for entry in report.per_n if not entry["match"]] == mismatched
