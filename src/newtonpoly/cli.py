@@ -33,6 +33,29 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+_INT = frozenset((int,))   # _INT.issuperset(map(type, items)): each item is exactly an int
+_TEXT_CAP = 4096           # the most texts one canonical_json call keeps
+
+
+class _IntTexts(dict):
+    """int -> its text, (key, int) -> '"key": int'; filled on first use,
+    kept up to ``_TEXT_CAP`` entries."""
+
+    __slots__ = ()
+
+    def __missing__(self, item) -> str:
+        if type(item) is tuple:
+            key, value = item
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            text = _encode_str(key) + ": " + int.__repr__(value)
+        else:
+            text = int.__repr__(item)
+        if len(self) < _TEXT_CAP:
+            self[item] = text
+        return text
+
+
 def canonical_json(obj) -> str:
     """The report layout, byte for byte ``json.dumps(obj, indent=2) + "\\n"``.
 
@@ -45,6 +68,13 @@ def canonical_json(obj) -> str:
     bool, None and ``MultiPoly``; anything else raises TypeError, and a
     container that holds itself raises ValueError.
 
+    A dict or list whose values are all exactly ``int`` (no ``bool``) is one
+    ``map`` over a text table made for this call, so each distinct int of a
+    list, or ``(key, int)`` item of a dict, is turned into text once: the
+    smoothness report repeats a few dozen ``"prime": multiplicity`` lines in
+    every entry.  The table keeps at most ``_TEXT_CAP`` (4096) texts, so it
+    does not grow with the input.
+
     A ``MultiPoly`` is written as its ``to_dict()`` would be, without
     building that dict: one %-template, made from the depth and the number
     of variables, is applied to each term, and the term texts are joined
@@ -54,6 +84,7 @@ def canonical_json(obj) -> str:
     """
     breaks = ["\n"]        # breaks[d]: a newline and the indent of depth d
     prefixes = {}          # key -> its '"key": ' prefix
+    texts = _IntTexts()    # int -> its text, (key, int) -> '"key": int'
     open_ids = set()       # ids of the containers being written
 
     def indent(depth: int) -> str:
@@ -103,33 +134,47 @@ def canonical_json(obj) -> str:
         open_ids.add(marker)
         depth += 1
         inner = indent(depth)
-        parts = []
-        append = parts.append
-        # str and int children, most of a report, are written without a call.
+        # An int-only container is one map over the text table; in the others
+        # str, int, bool and None children, most of a report, are written
+        # without a call.
         if is_dict:
-            for key, item in value.items():
-                prefix = prefixes.get(key)
-                if prefix is None:
-                    if not isinstance(key, str):
-                        raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    prefix = prefixes[key] = _encode_str(key) + ": "
-                kind = type(item)
-                if kind is str:
-                    append(prefix + _encode_str(item))
-                elif kind is int:
-                    append(prefix + int.__repr__(item))
-                else:
-                    append(write(item, depth, prefix))
+            if _INT.issuperset(map(type, value.values())):
+                parts = list(map(texts.__getitem__, value.items()))
+            else:
+                parts = []
+                append = parts.append
+                for key, item in value.items():
+                    prefix = prefixes.get(key)
+                    if prefix is None:
+                        if not isinstance(key, str):
+                            raise TypeError(f"keys must be str, not {type(key).__name__}")
+                        prefix = prefixes[key] = _encode_str(key) + ": "
+                    kind = type(item)
+                    if kind is str:
+                        append(prefix + _encode_str(item))
+                    elif kind is int:
+                        append(prefix + int.__repr__(item))
+                    elif item is None:
+                        append(prefix + "null")
+                    elif kind is bool:
+                        append(prefix + ("true" if item else "false"))
+                    else:
+                        append(write(item, depth, prefix))
             opener, closer = "{", "}"
         else:
-            for item in value:
-                kind = type(item)
-                if kind is str:
-                    append(_encode_str(item))
-                elif kind is int:
-                    append(int.__repr__(item))
-                else:
-                    append(write(item, depth))
+            if _INT.issuperset(map(type, value)):
+                parts = list(map(texts.__getitem__, value))
+            else:
+                parts = []
+                append = parts.append
+                for item in value:
+                    kind = type(item)
+                    if kind is str:
+                        append(_encode_str(item))
+                    elif kind is int:
+                        append(int.__repr__(item))
+                    else:
+                        append(write(item, depth))
             opener, closer = "[", "]"
         parts[0] = head + opener + inner + parts[0]
         parts[-1] += breaks[depth - 1] + closer + tail

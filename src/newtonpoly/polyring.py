@@ -189,7 +189,7 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in graded-lex order, highest first (the serialization order)."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def coefficients_in(self, name: str) -> list["MultiPoly"]:
         """Coefficients of powers of one variable; index k holds the x^k coefficient.

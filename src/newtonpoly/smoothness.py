@@ -115,6 +115,12 @@ class SmoothnessEntry(NamedTuple):
     factorization: dict[int, int]
 
     def to_dict(self) -> dict:
+        # One shared name per prime: a report repeats each one in most entries.
+        return self._named({p: intern(str(p)) for p in self.factorization})
+
+    def _named(self, names: dict[int, str]) -> dict:
+        """to_dict() with each prime of the factorization named by ``names``."""
+        factorization = self.factorization
         return {
             "poly": self.poly,
             "monomial": list(self.monomial),
@@ -122,8 +128,8 @@ class SmoothnessEntry(NamedTuple):
             "smooth": self.smooth,
             "residual": str(self.residual),
             "largest_prime_found": self.largest_prime_found,
-            # One shared name per prime: a report repeats each one in most entries.
-            "factorization": {intern(str(p)): m for p, m in self.factorization.items()},
+            "factorization": dict(zip(map(names.__getitem__, factorization),
+                                      factorization.values())),
         }
 
 
@@ -147,6 +153,9 @@ class SmoothnessReport(NamedTuple):
         return [e for e in self.entries if not e.smooth]
 
     def to_dict(self) -> dict:
+        # One name per prime for the whole report, made from every prime it holds.
+        primes = set().union(*[e.factorization for e in self.entries])
+        names = {p: str(p) for p in primes}
         return {
             "n": self.n,
             "bound": self.bound,
@@ -157,7 +166,7 @@ class SmoothnessReport(NamedTuple):
                 "count_exceeding_bound": self.count_exceeding_bound,
                 "total_coefficients": self.total_coefficients,
             },
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [e._named(names) for e in self.entries],
         }
 
 
@@ -178,11 +187,8 @@ def certify_pair(pair: NewtonPair, mode: str = "inclusive") -> SmoothnessReport:
         for monomial, coefficient in poly.sorted_terms():
             magnitude = abs(coefficient)
             residual, factorization = _factor_over(magnitude, top, primes)
-            entries.append(SmoothnessEntry(
-                poly=name, monomial=monomial, coefficient_abs=magnitude,
-                smooth=residual == 1, residual=residual,
-                largest_prime_found=next(reversed(factorization), None),
-                factorization=factorization))
+            entries.append(SmoothnessEntry(name, monomial, magnitude, residual == 1, residual,
+                                           next(reversed(factorization), None), factorization))
             max_abs = max(max_abs, magnitude)
             if magnitude > bound:
                 exceeding += 1

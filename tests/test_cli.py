@@ -507,6 +507,13 @@ def digit_limit(limit: int):
         sys.set_int_max_str_digits(before)
 
 
+class ReprInt(int):
+    """An int subclass whose own repr json.dumps must not use."""
+
+    def __repr__(self) -> str:
+        return "ReprInt"
+
+
 class TestCanonicalJson:
     """canonical_json against the layout it reproduces, json.dumps(indent=2)."""
 
@@ -519,6 +526,11 @@ class TestCanonicalJson:
     @example({})
     @example([[], {}, [[{}]], {"a": {"b": [[]], "c": {}}}, ()])
     @example({"": [True, False, None, 0, -1]})
+    @example([1, True])
+    @example({"a": 1, "b": False, "c": None, "d": True})
+    @example([ReprInt(5), 5, -5, ReprInt(5)])
+    @example({"a": ReprInt(-7), "b": -7})
+    @example([-1, -2, -1, 0, -10 ** 40, {"a": -3, "b": -3}, {"a": -3, "b": -3}])
     def test_matches_json_dumps(self, obj):
         assert cli.canonical_json(obj) == self.reference(obj)
 
@@ -534,12 +546,33 @@ class TestCanonicalJson:
         with pytest.raises(ValueError, match="Circular reference"):
             cli.canonical_json({"top": looped})
 
-    @pytest.mark.parametrize("obj", [0.5, [1, 2.0], {"a": {"b": 1e3}}, {1: "a"},
-                                     {"a": [{(1,): 2}]}, {"a": {1, 2}}, Fraction(1, 2)],
+    @pytest.mark.parametrize("obj", [0.5, [1, 2.0], {"a": {"b": 1e3}}, {1: "a"}, {1: 2},
+                                     [{"a": 1, 2: 3}], {"a": [{(1,): 2}]}, {"a": {1, 2}},
+                                     Fraction(1, 2)],
                              ids=repr)
     def test_unsupported_type_is_type_error(self, obj):
         with pytest.raises(TypeError):
             cli.canonical_json(obj)
+
+    @pytest.mark.parametrize("obj", [[1, 10 ** 4300], {"a": 1, "b": -10 ** 4300}],
+                             ids=["list", "dict"])
+    def test_int_past_the_digit_limit_is_value_error(self, obj):
+        with digit_limit(4300):
+            with pytest.raises(ValueError, match="digits"):
+                cli.canonical_json(obj)
+
+    def test_int_text_table_is_bounded(self):
+        # Every item is distinct, so a table that kept them all would hold
+        # one tuple and one text per item beside the output.
+        obj = [{"v": i, "w": -i} for i in range(20000)]
+        tracemalloc.start()
+        try:
+            text = cli.canonical_json(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == self.reference(obj)
+        assert peak < 5 * len(text)
 
     @given(POLY_TREES)
     @example(MultiPoly.zero(VariableSet("")))

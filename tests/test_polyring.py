@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from newtonpoly.errors import StructuralError
-from newtonpoly.polyring import ABCQXY, ABCX, XY, MultiPoly, VariableSet, divexact, nc_mul
+from newtonpoly.polyring import (ABCQXY, ABCX, XY, MultiPoly, VariableSet, _grlex_key, divexact,
+                                 nc_mul)
 
 from conftest import random_poly
 
@@ -155,6 +156,13 @@ def operands(draw):
     """Two polynomials over one variable set, with coefficients in +-3 so sums cancel."""
     varset = draw(st.sampled_from([XY, ABCX, ABCQXY]))
     return draw(polynomials(varset)), draw(polynomials(varset))
+
+
+@given(st.sampled_from([XY, ABCX, ABCQXY]).flatmap(polynomials))
+def test_sorted_terms_matches_the_two_call_grlex_key(p):
+    # The key sorted_terms() used before it built (degree, monomial) in one call.
+    assert p.sorted_terms() == sorted(p._terms.items(), key=lambda kv: _grlex_key(kv[0]),
+                                      reverse=True)
 
 
 class TestMulDifferential:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, strategies as st
 from newtonpoly.cli import canonical_json
 from newtonpoly.newton import iterate_pair
 from newtonpoly import smoothness
-from newtonpoly.smoothness import SmoothPart, certify_pair, sieve_primes, smooth_part
+from newtonpoly.smoothness import (SmoothPart, SmoothnessEntry, SmoothnessReport, certify_pair,
+                                   sieve_primes, smooth_part)
 
 
 class TestSieve:
@@ -217,6 +219,25 @@ class TestReportMemory:
             for name in entry.to_dict()["factorization"]:
                 assert names.setdefault(name, name) is name
         assert len(names) == len(sieve_primes(33))
+
+    def test_report_names_each_prime_once(self):
+        report = certify_pair(iterate_pair(5))
+        written = report.to_dict()["entries"]
+        assert written == [entry.to_dict() for entry in report.entries]
+        names = {}
+        for entry in written:
+            for name in entry["factorization"]:
+                assert names.setdefault(name, name) is name
+        assert len(names) == len(sieve_primes(33))
+
+    def test_report_names_a_prime_outside_the_bound(self):
+        # Hand-built: 3 is no admissible prime at n = 1, but it is still named.
+        entry = SmoothnessEntry("P", (0, 0, 0, 1), 6, True, 1, 3, {2: 1, 3: 1})
+        report = SmoothnessReport(1, 2, "inclusive", (entry,), True, 6, 1, 1)
+        written = report.to_dict()
+        assert written["entries"] == [entry.to_dict()]
+        assert written["entries"][0]["factorization"] == {"2": 1, "3": 1}
+        assert canonical_json(written) == json.dumps(written, indent=2) + "\n"
 
     def test_report_json_peaks_below_two_and_a_half_texts(self):
         report = certify_pair(iterate_pair(6)).to_dict()
