@@ -39,7 +39,6 @@ from .qalgebra import (
     nc_iterate,
     qbinomial,
     qbinomial_product_value,
-    qbinomial_rows,
     qbinomial_theorem_check,
 )
 from .quadfield import ConjugacyReport, conjugacy_check, root_form_pair

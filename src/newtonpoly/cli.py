@@ -344,24 +344,15 @@ def _suite_conjugacy(args) -> tuple[bool, dict]:
     return ok, report
 
 
-def _at_q_one(slices: list[list[int]], size: int) -> list[int]:
-    """The (c, x) grid of a q-walk polynomial at q = y = 1: cell (c, e) sums c-row c of slice e."""
-    columns = [list(map(sum, zip(*[iter(cells)] * (e * (size - e) + 1))))
-               for e, cells in enumerate(slices)]
-    # Slice 0 has every c-row of the grid; a slice of larger e may have fewer.
-    return [column[c] if c < len(column) else 0 for c in range(len(columns[0]))
-            for column in columns]
-
-
 def _suite_qconjecture(args) -> tuple[bool, dict]:
     for n in (args.max_n, args.commutative_max_n):
         check_index(n, args.cap)
     # One ascending walk builds each noncommutative pair once, for both checks.
     walk = list(_capped(qalgebra.nc_walk(), max(args.max_n, args.commutative_max_n), args.cap))
     result = qalgebra.conjecture_check(args.max_n, cap=args.cap, recurrence=walk)
-    grids = _capped(newton._walk(), args.commutative_max_n, args.cap)
-    commutative = [{"n": n, "match": _at_q_one(nc_p, 2 ** n) == p and _at_q_one(nc_q, 2 ** n) == q}
-                   for (nc_p, nc_q), (n, p, q) in zip(walk, grids)]
+    grids = _capped(newton.walk(), args.commutative_max_n, args.cap)
+    commutative = [{"n": n, "match": [qalgebra.at_q_one(nc, 2 ** n) for nc in nc_pair] == [p, q]}
+                   for nc_pair, (n, p, q) in zip(walk, grids)]
     ok = result.passed and all(entry["match"] for entry in commutative)
     report = {"suite": "qconjecture", "conjecture": result.to_dict(),
               "commutative_specialization": commutative, "passed": ok}
@@ -370,28 +361,27 @@ def _suite_qconjecture(args) -> tuple[bool, dict]:
 
 def _suite_qbinom(args) -> tuple[bool, dict]:
     theorem = qalgebra.qbinomial_theorem_check(args.max_n)
-    rows = list(islice(qalgebra.qbinomial_rows(),
+    rows = list(islice(qalgebra.qbinomial_int_rows(),
                        max(args.product_max_n, args.symmetry_max_n) + 1))
+    q_values = (2, 3, 5)
     product_ok = True
     first_product_failure = None
     for n, row in enumerate(rows[:args.product_max_n + 1]):
-        for k, polynomial in enumerate(row):
-            for q_value in (2, 3, 5):
-                expected = qalgebra.qbinomial_product_value(n, k, q_value)
-                if polynomial.evaluate({"q": q_value}) != expected:
+        for k, cells in enumerate(row):
+            for q_value in q_values:
+                value = 0
+                for cell in reversed(cells):        # Horner's rule: [n, k] at q = q_value
+                    value = value * q_value + cell
+                if value != qalgebra.qbinomial_product_value(n, k, q_value):
                     product_ok = False
                     first_product_failure = first_product_failure or [n, k, q_value]
-    symmetry_ok = True
-    specialization_ok = True
-    for n, row in enumerate(rows[:args.symmetry_max_n + 1]):
-        for k, polynomial in enumerate(row):
-            if polynomial != row[n - k]:
-                symmetry_ok = False
-            if polynomial.evaluate({"q": 1}) != closedform.binomial(n, k):
-                specialization_ok = False
+    symmetry_rows = rows[:args.symmetry_max_n + 1]
+    symmetry_ok = all(row == row[::-1] for row in symmetry_rows)
+    specialization_ok = all(sum(cells) == closedform.binomial(n, k)
+                            for n, row in enumerate(symmetry_rows) for k, cells in enumerate(row))
     ok = theorem.passed and product_ok and symmetry_ok and specialization_ok
     report = {"suite": "qbinom", "theorem": theorem.to_dict(),
-              "product_formula": {"max_n": args.product_max_n, "q_values": [2, 3, 5],
+              "product_formula": {"max_n": args.product_max_n, "q_values": list(q_values),
                                   "passed": product_ok,
                                   "first_failure": first_product_failure},
               "symmetry": {"max_n": args.symmetry_max_n, "passed": symmetry_ok},

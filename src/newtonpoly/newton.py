@@ -225,8 +225,11 @@ def _lift(cells: list[int], width: int, degree: int, weight: int) -> MultiPoly:
     return MultiPoly._raw(ABCX, terms)
 
 
-def _walk() -> Iterator[tuple[int, list[int], list[int]]]:
-    """(n, grid of P_n, grid of Q_n) for n = 0, 1, ...; n is yielded before the step to n + 1."""
+def walk() -> Iterator[tuple[int, list[int], list[int]]]:
+    """(n, grid of P_n, grid of Q_n) for n = 0, 1, ...; n is yielded before the step to n + 1.
+
+    Row k of a grid is the c exponent and cell e the x exponent, 2^n + 1 cells a row.
+    """
     p, q = [0, 1], [1, 0]               # P_0 = x and Q_0 = 1, cells e = 0, 1
     for n in count():
         yield n, p, q
@@ -251,13 +254,13 @@ def iterates() -> Iterator[NewtonPair]:
     so the result is exact for every n.  Pair n is built when it is asked
     for, and the step to n + 1 is taken only when that pair is.
     """
-    return starmap(_pair, _walk())
+    return starmap(_pair, walk())
 
 
 def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
     """(P_n, Q_n) by the squaring recurrence (see ``iterates``); only the last grid is lifted."""
     check_index(n, cap)
-    return _pair(*next(islice(_walk(), n, None)))
+    return _pair(*next(islice(walk(), n, None)))
 
 
 def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> Fraction:

@@ -11,10 +11,10 @@ the Pascal-type recurrence
 
     [n, k] = [n-1, k-1] + q^k [n-1, k]
 
-on integer lists, entry k of row n the k (n - k) + 1 q-coefficients of [n, k],
-which qbinomial_rows() lifts to MultiPoly; the product formula is only an
-integer-valued cross-check at fixed q.  Nothing is cached: a caller that
-needs many entries walks the rows once, not qbinomial(n, k) in a loop.
+in qbinomial_int_rows(), entry k of row n the k (n - k) + 1 q-coefficients of
+[n, k] as integers; qbinomial(n, k) lifts one entry to MultiPoly.  Nothing is
+cached: a caller that needs many entries walks the rows once, not qbinomial(n, k)
+in a loop.  The product formula is only a cross-check at fixed integer q.
 
 The noncommutative pair (P'_n, Q'_n) is grown by the recurrence
 
@@ -45,7 +45,8 @@ j >= 0, of e (N - e) + 1 cells: its q-degree is at most e (N - e), at N = 1
 and by induction, since e1 (N - e1) + e2 (N - e2) + (N - e1) e2 <= e (2N - e)
 for e = e1 + e2.  So the q-stride N^2 + 1 exceeds every q exponent of a
 product.  nc_closed(n) writes the closed side in the same slices, so
-conjecture_check compares integer lists; nc_iterates() lifts the walk.
+conjecture_check compares integer lists; at_q_one() sums slices into the
+grids of newton.walk(), and nc_iterate(n) lifts pair n alone.
 """
 
 from __future__ import annotations
@@ -74,17 +75,13 @@ def qbinomial_int_rows() -> Iterator[list[list[int]]]:
                       for k in range(1, n)), [1]]
 
 
-def qbinomial_rows() -> Iterator[tuple[MultiPoly, ...]]:
-    """Rows 0, 1, 2, ... of Gaussian polynomials; row n is ([n, 0], ..., [n, n])."""
-    keys = []       # q^s is (0, 0, 0, s), one tuple shared by every row; no coefficient is 0
-    for row in qbinomial_int_rows():
-        keys += [(0, 0, 0, s) for s in range(len(keys), len(row[len(row) // 2]))]
-        yield tuple(MultiPoly._raw(ABCQ, dict(zip(keys, cells))) for cells in row)
-
-
 def qbinomial(n: int, k: int) -> MultiPoly:
     """The Gaussian polynomial [n, k]_q over (a, b, c, q); zero out of range."""
-    return next(islice(qbinomial_rows(), n, None))[k] if 0 <= k <= n else MultiPoly.zero(ABCQ)
+    if not 0 <= k <= n:
+        return MultiPoly.zero(ABCQ)
+    cells = next(islice(qbinomial_int_rows(), n, None))[k]
+    # No q-coefficient of a Gaussian polynomial is 0, so the terms are canonical as built.
+    return MultiPoly._raw(ABCQ, {(0, 0, 0, s): value for s, value in enumerate(cells)})
 
 
 def qbinomial_product_value(n: int, k: int, q_value: int) -> int:
@@ -196,16 +193,22 @@ def nc_walk() -> Iterator[tuple[Slices, Slices]]:
         p, q = _nc_step(p, q, 2 ** n)
 
 
-def nc_iterates() -> Iterator[tuple[MultiPoly, MultiPoly]]:
-    """(P'_0, Q'_0), (P'_1, Q'_1), ... by the noncommutative recurrence: nc_walk() lifted."""
-    for n, (p, q) in enumerate(nc_walk()):
-        yield _nc_lift(p, 2 ** n, 2 ** n), _nc_lift(q, 2 ** n, 2 ** n - 1)
-
-
 def nc_iterate(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[MultiPoly, MultiPoly]:
     """(P'_n, Q'_n) by the noncommutative recurrence; homogeneous of degree 2^n in x, y."""
     check_index(n, cap)
-    return next(islice(nc_iterates(), n, None))
+    p, q = next(islice(nc_walk(), n, None))
+    size = 2 ** n
+    return _nc_lift(p, size, size), _nc_lift(q, size, size - 1)
+
+
+def at_q_one(slices: Slices, size: int) -> list[int]:
+    """Slices of x-degree ``size`` at q = y = 1 as a newton.walk() grid: cell (c, e) sums
+    c-row c of slice e."""
+    columns = [list(map(sum, zip(*[iter(cells)] * _width(size, e))))
+               for e, cells in enumerate(slices)]
+    # Slice 0 has every c-row of the grid; a slice of larger e may have fewer.
+    return [column[c] if c < len(column) else 0 for c in range(len(columns[0]))
+            for column in columns]
 
 
 def nc_closed(n: int, cap: int = DEFAULT_NC_CAP) -> tuple[list, list]:

@@ -253,6 +253,38 @@ class TestVerify:
                          "--symmetry-max-n", "8")
         assert result.returncode == 0
 
+    @pytest.mark.parametrize("changes, first_failure, sums_and_symmetry_hold", [
+        # Weight moved between two q-cells of the middle entries [6, 3] and [4, 2]
+        # keeps the q = 1 sum and the symmetry; the product formula fails, first at [4, 2].
+        ({6: (3, 4, 5), 4: (2, 1, 2)}, [4, 2, 2], True),
+        # One changed cell of [5, 1] breaks all three: [5, 4] is unchanged.
+        ({5: (1, 0, None)}, [5, 1, 2], False),
+    ], ids=["moved-weight", "changed-cell"])
+    def test_qbinom_names_the_first_product_failure(self, monkeypatch, capsys, changes,
+                                                    first_failure, sums_and_symmetry_hold):
+        honest = qalgebra.qbinomial_int_rows
+
+        def rows():         # only rows above --max-n 3 change, so the theorem still holds
+            for n, row in enumerate(honest()):
+                if n in changes:
+                    k, raised, lowered = changes[n]
+                    row = [list(cells) for cells in row]
+                    row[k][raised] += 1
+                    if lowered is not None:
+                        row[k][lowered] -= 1
+                yield row
+        monkeypatch.setattr(qalgebra, "qbinomial_int_rows", rows)
+        argv = ["verify", "qbinom", "--max-n", "3", "--product-max-n", "8",
+                "--symmetry-max-n", "8"]
+        assert cli.main(argv) == cli.EXIT_FAIL
+        report = json.loads(capsys.readouterr().out)
+        assert report["theorem"]["passed"] is True
+        assert report["product_formula"]["passed"] is False
+        assert report["product_formula"]["first_failure"] == first_failure
+        assert report["symmetry"]["passed"] is sums_and_symmetry_hold
+        assert report["binomial_specialization"]["passed"] is sums_and_symmetry_hold
+        assert report["passed"] is False
+
     def test_report_file_and_determinism(self, tmp_path):
         first = tmp_path / "r1.json"
         second = tmp_path / "r2.json"

@@ -15,12 +15,10 @@ from newtonpoly.qalgebra import (
     conjecture_check,
     nc_closed,
     nc_iterate,
-    nc_iterates,
     nc_walk,
     qbinomial,
     qbinomial_int_rows,
     qbinomial_product_value,
-    qbinomial_rows,
     qbinomial_theorem_check,
 )
 
@@ -81,14 +79,15 @@ class TestQBinomial:
         assert qbinomial(4, 2) == qpoly(1, 1, 2, 1, 1)
 
     def test_rows_walk_the_pascal_recurrence(self):
-        rows = qbinomial_rows()
-        assert [next(rows) for _ in range(3)] == [
-            (qpoly(1),), (qpoly(1), qpoly(1)), (qpoly(1), qpoly(1, 1), qpoly(1))]
+        rows = qbinomial_int_rows()
+        assert [next(rows) for _ in range(4)] == [
+            [[1]], [[1], [1]], [[1], [1, 1], [1]], [[1], [1, 1, 1], [1, 1, 1], [1]]]
         # each walk starts afresh at row 0
-        assert next(qbinomial_rows()) == (qpoly(1),)
+        assert next(qbinomial_int_rows()) == [[1]]
 
     def test_rows_equal_the_multipoly_pascal_oracle(self):
-        assert list(islice(qbinomial_rows(), 25)) == list(islice(pascal_oracle(), 25))
+        assert [tuple(qbinomial(n, k) for k in range(n + 1)) for n in range(25)] == \
+            list(islice(pascal_oracle(), 25))
         # The integer rows have the layout of a slice row: k (n - k) + 1 cells for [n, k].
         for n, row in enumerate(islice(qbinomial_int_rows(), 25)):
             assert [len(cells) for cells in row] == [k * (n - k) + 1 for k in range(n + 1)]
@@ -210,7 +209,7 @@ class TestNCIterate:
             qq = nc_mul(q, q)
             p, q = a * nc_mul(p, p) - c * qq, a * (nc_mul(p, q) + nc_mul(q, p)) + b * qq
             expected.append((p, q))
-        assert list(islice(nc_iterates(), 5)) == expected
+        assert [nc_iterate(n) for n in range(5)] == expected
 
     def test_n5_matches_closed_form(self):
         assert nc_iterate(5, cap=5) == lifted(5, nc_closed(5, cap=5))
@@ -365,7 +364,7 @@ class TestConjecture:
     def test_cap_refused_before_any_construction(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a pair before checking the cap")
-        for name in ("nc_iterates", "nc_walk", "qbinomial_rows", "qbinomial_int_rows"):
+        for name in ("nc_walk", "qbinomial_int_rows"):
             monkeypatch.setattr(qalgebra, name, unreachable)
         with pytest.raises(ResourceCapError, match="n = 7 exceeds the cap 4"):
             conjecture_check(7)
@@ -403,7 +402,7 @@ def multipoly_check(max_n, recurrence):
     per_n = []
     for n, pair in zip(range(max_n + 1), recurrence):
         size = 2 ** n
-        row = next(islice(qbinomial_rows(), size, None))
+        row = [qbinomial(size, k) for k in range(size + 1)]
         word = None
         for poly, rec, contributions in zip("PQ", pair, (qalgebra.p_contributions,
                                                          qalgebra.q_contributions)):
