@@ -171,7 +171,24 @@ class TestEval:
     def test_pole_exits_1(self):
         result = run_cli("eval", "--n", "1", "--a", "1", "--b", "0", "--c", "-1", "--x", "0")
         assert result.returncode == 1
-        assert "domain error" in result.stderr
+        assert result.stderr == "domain error: Q_1 vanishes at x0 = 0 for these coefficients\n"
+
+    # eval refuses in this order: the quadratic (a = 0 before the cap), then
+    # the index, before any recurrence step is taken.
+    @pytest.mark.parametrize("n, a, code, line", [
+        ("9", "0", 1, "domain error: a = 0: not a quadratic"),
+        ("9", "1", 3, "resource cap: n = 9 exceeds the cap 8; raise the cap explicitly"),
+        ("-1", "1", 2, "usage error: iteration index must be nonnegative, got -1"),
+    ])
+    def test_refusals_come_before_any_step(self, monkeypatch, capsys, n, a, code, line):
+        sizes = []
+        original = newton._step
+        monkeypatch.setattr(newton, "_step",
+                            lambda p, q, size: sizes.append(size) or original(p, q, size))
+        argv = ["eval", "--n", n, "--a", a, "--b", "0", "--c=-1", "--x", "0"]
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == ("", line + "\n")
+        assert sizes == []
 
     # Every rational flag goes through the parser --samples uses, so a bad
     # value is one usage line, never a ZeroDivisionError traceback.
