@@ -17,12 +17,12 @@ from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import closedform, newton, qalgebra, quadfield, smoothness
 from .errors import DEFAULT_CAP, DomainError, ResourceCapError, StructuralError, check_index
 from .newton import NewtonPair, QuadraticCoeffs
-from .polyring import ABCX, MultiPoly
+from .polyring import ABCX, Monomial, MultiPoly
 
 # Reference coefficient triples used by the equivalence and conjugacy suites.
 REFERENCE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
@@ -56,6 +56,17 @@ class _IntTexts(dict):
         return text
 
 
+class Terms:
+    """A polynomial given as its variables and its (monomial, coefficient) terms in
+    graded-lex order, highest first, as ``MultiPoly.sorted_terms`` gives them:
+    canonical_json writes it as that polynomial's ``to_dict()``."""
+
+    __slots__ = ("varset", "terms")
+
+    def __init__(self, varset, terms: Iterable[tuple[Monomial, int]]):
+        self.varset, self.terms = varset, terms
+
+
 def canonical_json(obj) -> str:
     """The report layout, byte for byte ``json.dumps(obj, indent=2) + "\\n"``.
 
@@ -65,8 +76,8 @@ def canonical_json(obj) -> str:
     dict key's prefix into the first part of the key's value, and the final
     newline into the top container's last part, so the whole text exists at
     most twice at once.  Takes dicts with str keys, lists, tuples, str, int,
-    bool, None and ``MultiPoly``; anything else raises TypeError, and a
-    container that holds itself raises ValueError.
+    bool, None, ``MultiPoly`` and ``Terms``; anything else raises TypeError,
+    and a container that holds itself raises ValueError.
 
     A dict or list whose values are all exactly ``int`` (no ``bool``) is one
     ``map`` over a text table made for this call, so each distinct int of a
@@ -81,6 +92,7 @@ def canonical_json(obj) -> str:
     once, the polynomial's brackets folded in as above.  So the text again
     exists at most twice, beside the term list of ``sorted_terms()``: for
     the n = 6 pair the ``tracemalloc`` peak is 2.0 times the text's length.
+    A ``Terms`` is written the same way from its own terms.
     """
     breaks = ["\n"]        # breaks[d]: a newline and the indent of depth d
     prefixes = {}          # key -> its '"key": ' prefix
@@ -92,20 +104,19 @@ def canonical_json(obj) -> str:
             breaks.append(breaks[-1] + "  ")
         return breaks[depth]
 
-    def write_poly(poly: MultiPoly, depth: int, head: str, tail: str) -> str:
-        # The layout of poly.to_dict() written at depth: the dict's keys at
-        # depth + 1, each term at depth + 2, its fields at + 3, exponents at + 4.
+    def write_poly(varset, terms, depth: int, head: str, tail: str) -> str:
+        # The layout of a polynomial's to_dict() written at depth: the dict's keys
+        # at depth + 1, each term at depth + 2, its fields at + 3, exponents at + 4.
         outer, keys, term, fields, items = (indent(depth + k) for k in range(5))
-        width = len(poly.varset)
+        width = len(varset)
         exp = "[" + items + ("," + items).join(["%d"] * width) + fields + "]" if width else "[]"
-        head = write(list(poly.varset), depth + 1, head + "{" + keys + '"vars": ')
+        head = write(list(varset), depth + 1, head + "{" + keys + '"vars": ')
         head += "," + keys + '"terms": '
         tail = outer + "}" + tail
-        terms = poly.sorted_terms()
-        if not terms:
-            return head + "[]" + tail
         template = "{" + fields + '"exp": ' + exp + "," + fields + '"coeff": "%d"' + term + "}"
         parts = [template % (*mono, coeff) for mono, coeff in terms]
+        if not parts:
+            return head + "[]" + tail
         parts[0] = head + "[" + term + parts[0]
         parts[-1] += keys + "]" + tail
         return ("," + term).join(parts)
@@ -124,7 +135,9 @@ def canonical_json(obj) -> str:
             if isinstance(value, int):
                 return head + int.__repr__(value)
             if isinstance(value, MultiPoly):
-                return write_poly(value, depth, head, tail)
+                return write_poly(value.varset, value.sorted_terms(), depth, head, tail)
+            if isinstance(value, Terms):
+                return write_poly(value.varset, value.terms, depth, head, tail)
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         if not value:
             return head + ("{}" if is_dict else "[]")
@@ -225,6 +238,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "p": p,
             "q": q,
         }
+    elif args.method == "recurrence" and args.format == "json":
+        # pair.to_dict(), written from the walk's grids without building the pair
+        p, q = (Terms(ABCX, terms)
+                for terms in newton.pair_terms(args.n, *newton.walk_to(args.n, args.cap)))
+        payload = {"n": args.n, "p": p, "q": q}
     else:
         pair = _build_pair(args.n, args.method, args.cap)
         p, q = pair.p, pair.q
@@ -249,8 +267,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     coeffs = QuadraticCoeffs(args.a, args.b, args.c)
-    pair = newton.iterate_pair(args.n, cap=args.cap)
-    symbolic = newton.eval_pair(pair, coeffs, args.x)
+    symbolic = newton.eval_grids(args.n, *newton.walk_to(args.n, args.cap), coeffs, args.x)
     stepwise = newton.iterate_value(coeffs, args.x, args.n)
     if symbolic != stepwise:
         print(f"mismatch: P_n/Q_n = {symbolic} but stepwise Newton = {stepwise}",
@@ -271,27 +288,25 @@ def _capped(walk: Iterator, max_n: int, cap: int) -> Iterator:
 
 def _suite_equivalence(args) -> tuple[bool, dict]:
     per_n = []
-    closed = []                      # (closed_p(n), closed_q(n)), built once per n
+    closed = []                      # closedform.closed_grids(n), built once per n
     ok = True
-    for n, pair in enumerate(_capped(newton.iterates(), args.max_n, args.cap)):
-        closed.append((closedform.closed_p(n, cap=args.cap), closedform.closed_q(n, cap=args.cap)))
-        match = (pair.p, pair.q) == closed[n]
+    for n, p, q in _capped(newton.walk(), args.max_n, args.cap):
+        closed.append(closedform.closed_grids(n, cap=args.cap))
+        match = (p, q) == closed[n]
         per_n.append({"n": n, "recurrence_equals_closed": match})
         ok = ok and match
     rootform_results = []
     rootform_max_n = min(args.max_n, args.rootform_max_n)   # the bound actually checked
     for a, b, c in REFERENCE_TRIPLES:
         coeffs = QuadraticCoeffs(a, b, c)
-        bindings = {"a": a, "b": b, "c": c}
         for n in range(rootform_max_n + 1):
             try:
-                rf_p, rf_q = quadfield.root_form_pair(coeffs, n, cap=args.cap)
+                rootform = quadfield.root_form_pair(coeffs, n, cap=args.cap)
             except DomainError:      # a coefficient kept a radical or fractional part
                 match = False
             else:
-                closed_p, closed_q = closed[n]
-                match = (rf_p == closed_p.substitute(bindings)
-                         and rf_q == closed_q.substitute(bindings))
+                match = (None not in closed[n]
+                         and rootform == newton.specialize(n, *closed[n], a, b, c))
             rootform_results.append({"coeffs": [a, b, c], "n": n, "match": match})
             ok = ok and match
     report = {"suite": "equivalence", "max_n": args.max_n,

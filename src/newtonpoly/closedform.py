@@ -120,6 +120,33 @@ def closed_q(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
                                  in q_contributions(n, _binomial_row(n))})
 
 
+def closed_grids(n: int, cap: int = DEFAULT_CAP) -> tuple[list[int] | None, list[int] | None]:
+    """closed_p(n) and closed_q(n) as (c, x) grids, in the layout of newton.walk().
+
+    Each term goes to cell (k, e) of its c and x exponents once its a and b
+    exponents are checked against the grading, as in qalgebra.nc_closed.  With
+    every exponent nonnegative, i + j + k = 2^n - 1 and j + 2k + e = weight
+    put the cell inside the grid.  A term off the grading, and so any term
+    outside the grid, or a term on a cell already filled (no contribution is
+    zero), makes that grid None, unequal to any walk grid.
+    """
+    check_index(n, cap)
+    size = 2 ** n
+    row = _binomial_row(n)
+    pair = []
+    for terms, weight in ((p_contributions(n, row), size), (q_contributions(n, row), size - 1)):
+        cells = [0] * ((weight // 2 + 1) * (size + 1))
+        for _k, _j, coeff, (i, j, k, e) in terms:
+            index = k * (size + 1) + e
+            if (min(i, j, k, e) < 0 or i + j + k != size - 1 or j + 2 * k + e != weight
+                    or cells[index]):
+                cells = None
+                break
+            cells[index] = coeff
+        pair.append(cells)
+    return tuple(pair)
+
+
 def closed_audit(n: int, cap: int = DEFAULT_CAP) -> list[AuditRecord]:
     """Provenance records for every closed-form contribution to P_n and Q_n.
 

@@ -20,9 +20,16 @@ numbers by Kronecker substitution, takes three squarings, P^2, Q^2 and
 and unpacks the result.  packing.choose_radix picks the product: int below a
 measured operand size, Decimal (libmpdec's transform) above it.  The
 grading fixes the layout: at x-degree N a row holds N + 1 cells, packed at
-stride 2N + 1, and P' has N + 1 rows, Q' N.
-The grid becomes an (a, b, c, x) polynomial once, after the last step.  The
-recurrence never consults the closed form.
+stride 2N + 1, and P' has N + 1 rows, Q' N.  The recurrence never consults
+the closed form.
+
+The grids are the pair's working form.  eval_grids evaluates them, grid_terms
+yields their terms in the report's order, and specialize binds a, b and c on
+them.  On that path the grid's shape is the grading check: a cell names a
+monomial of the grading, and that every nonzero coefficient of P_n and Q_n
+lies on it is the paper's structure (obligation O5, ROADMAP item 12).  A
+grid becomes an (a, b, c, x) polynomial only when a caller asks for the
+pair (iterate_pair, iterates), and then NewtonPair checks the grading again.
 
 The stepwise route (newton_step, iterate_value), which eval and the
 conjugacy check compare with P_n/Q_n at exact points, runs the literal map
@@ -62,12 +69,12 @@ import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count, islice, starmap
-from typing import Iterator, NamedTuple
+from itertools import accumulate, count, islice, repeat, starmap
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DEFAULT_CAP, DomainError, StructuralError, check_index
 from .packing import ByteSlots, choose_radix, slot_size
-from .polyring import ABCX, MultiPoly, divexact
+from .polyring import ABCX, X_ONLY, Monomial, MultiPoly, divexact
 
 EXACT_RESULTANT_MAX_N = 3
 GCD_PRIME = (1 << 61) - 1       # Mersenne prime; the specialized gcd runs over GF(GCD_PRIME)
@@ -210,19 +217,27 @@ def _step(p: list[int], q: list[int], size: int) -> tuple[list[int], list[int]]:
             kernel.unpack(new_q, size, stride, stride))
 
 
-def _lift(cells: list[int], width: int, degree: int, weight: int) -> MultiPoly:
-    """Grid to polynomial: i + j + k = degree and j + 2k + e = weight fix i and j.
+def grid_terms(cells: list[int], width: int, degree: int,
+               weight: int) -> Iterator[tuple[Monomial, int]]:
+    """(monomial, coefficient) of each nonzero cell, e descending, then k descending.
 
-    Zero cells are skipped and distinct cells give distinct monomials, so the
-    terms are canonical as built.
+    i + j + k = degree and j + 2k + e = weight fix i and j.  The total degree
+    degree + e grows with e, and at one e the a exponent degree - weight + k + e
+    grows with k, so this is graded-lex order, highest first: the order of
+    MultiPoly.sorted_terms, which the reports use.  Distinct cells give
+    distinct monomials.
     """
-    terms = {}
-    for index, coeff in enumerate(cells):
-        if coeff:
-            k, e = divmod(index, width)
-            j = weight - 2 * k - e
-            terms[(degree - j - k, j, k, e)] = coeff
-    return MultiPoly._raw(ABCX, terms)
+    for e in range(width - 1, -1, -1):
+        for k in range(len(cells) // width - 1, -1, -1):
+            coeff = cells[k * width + e]
+            if coeff:
+                j = weight - 2 * k - e
+                yield (degree - j - k, j, k, e), coeff
+
+
+def _lift(terms: Iterable[tuple[Monomial, int]]) -> MultiPoly:
+    """Terms of grid_terms to polynomial; they are canonical as built."""
+    return MultiPoly._raw(ABCX, dict(terms))
 
 
 def walk() -> Iterator[tuple[int, list[int], list[int]]]:
@@ -236,10 +251,22 @@ def walk() -> Iterator[tuple[int, list[int], list[int]]]:
         p, q = _step(p, q, 2 ** n)
 
 
-def _pair(n: int, p: list[int], q: list[int]) -> NewtonPair:
+def walk_to(n: int, cap: int = DEFAULT_CAP) -> tuple[list[int], list[int]]:
+    """The grids of (P_n, Q_n) (see ``walk``); n is checked against ``cap`` before any step."""
+    check_index(n, cap)
+    _, p, q = next(islice(walk(), n, None))
+    return p, q
+
+
+def pair_terms(n: int, p: list[int], q: list[int]) -> tuple[Iterator, Iterator]:
+    """The grid_terms of P_n and Q_n, from their grids p and q."""
     size = 2 ** n
-    return NewtonPair(n, _lift(p, size + 1, size - 1, size),
-                      _lift(q, size + 1, size - 1, size - 1))
+    return (grid_terms(p, size + 1, size - 1, size),
+            grid_terms(q, size + 1, size - 1, size - 1))
+
+
+def _pair(n: int, p: list[int], q: list[int]) -> NewtonPair:
+    return NewtonPair(n, *map(_lift, pair_terms(n, p, q)))
 
 
 def iterates() -> Iterator[NewtonPair]:
@@ -259,8 +286,7 @@ def iterates() -> Iterator[NewtonPair]:
 
 def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
     """(P_n, Q_n) by the squaring recurrence (see ``iterates``); only the last grid is lifted."""
-    check_index(n, cap)
-    return _pair(*next(islice(walk(), n, None)))
+    return _pair(n, *walk_to(n, cap))
 
 
 def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> Fraction:
@@ -270,6 +296,66 @@ def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> 
     if denominator == 0:
         raise DomainError(f"Q_{pair.n} vanishes at x0 = {x0} for these coefficients")
     return pair.p.evaluate(point) / denominator
+
+
+def _grid_value(cells: list[int], width: int, weight: int, top: int,
+                u: int, b: int, v: int, w: int) -> int:
+    """Sum over the cells (k, e) of cell * u^e b^(weight - 2k - e) v^k w^(top - k), top >= every k.
+
+    Row k is Horner's rule in (u, b) over e <= weight - 2k, the cells with
+    j >= 0; the rows are Horner's rule in (v, w).
+    """
+    b_powers, w_powers = (list(accumulate(repeat(base, length), operator.mul, initial=1))
+                          for base, length in ((b, weight), (w, top)))
+    total = 0
+    for k in range(len(cells) // width - 1, -1, -1):
+        last = weight - 2 * k
+        row = 0
+        for e in range(last, -1, -1):
+            row = row * u + cells[k * width + e] * b_powers[last - e]
+        total = total * v + row * w_powers[top - k]
+    return total
+
+
+def eval_grids(n: int, p: list[int], q: list[int], coeffs: QuadraticCoeffs,
+               x0: Fraction | int) -> Fraction:
+    """P_n(x0)/Q_n(x0) from the grids p and q of ``walk``, equal to eval_pair on the pair.
+
+    A term a^i b^j c^k x^e is a^(degree - weight) (ax)^e b^j (ac)^k.  With ax
+    and b over one denominator l, as u/l and b'/l, and ac = v/m, a grid's
+    value is a^(degree - weight) G / (l^weight m^top), G being _grid_value at
+    the integers u, b', v l^2, m.  Both grids are summed to P's top row, and
+    P's weight is Q's plus one, so P_n/Q_n = G_P / (a l G_Q): integer sums,
+    and one Fraction at the end.
+    """
+    x0 = Fraction(x0)
+    ax, ac, b = coeffs.a * x0, coeffs.a * coeffs.c, coeffs.b
+    scale = math.lcm(ax.denominator, b.denominator)
+    u, b_scaled = (value.numerator * (scale // value.denominator) for value in (ax, b))
+    size = 2 ** n
+    top = len(p) // (size + 1) - 1
+    numerator, denominator = (
+        _grid_value(cells, size + 1, weight, top, u, b_scaled,
+                    ac.numerator * scale * scale, ac.denominator)
+        for cells, weight in ((p, size), (q, size - 1)))
+    if denominator == 0:
+        raise DomainError(f"Q_{n} vanishes at x0 = {x0} for these coefficients")
+    return Fraction(numerator * coeffs.a.denominator,
+                    denominator * coeffs.a.numerator * scale)
+
+
+def specialize(n: int, p: list[int], q: list[int], a: int, b: int,
+               c: int) -> tuple[MultiPoly, MultiPoly]:
+    """(P_n, Q_n) at integers a, b and c, as polynomials over {x}, from their grids."""
+    size = 2 ** n               # every exponent of a, b and c is below 2^n
+    powers_a, powers_b, powers_c = ([value ** e for e in range(size)] for value in (a, b, c))
+    pair = []
+    for terms in pair_terms(n, p, q):
+        out = [0] * (size + 1)
+        for (i, j, k, e), coeff in terms:
+            out[e] += coeff * powers_a[i] * powers_b[j] * powers_c[k]
+        pair.append(MultiPoly._raw(X_ONLY, {(e,): value for e, value in enumerate(out) if value}))
+    return tuple(pair)
 
 
 # ---------------------------------------------------------------- resultants
@@ -355,7 +441,7 @@ def _grid_resultant(pair: NewtonPair) -> MultiPoly:
     value = _bareiss_determinant(rows, 1, operator.floordiv)
     total, weight = (2 * size - 1) * (size - 1), size * (size - 1)
     # One x^0 cell per power of c, k <= W/2 since j >= 0.
-    return _lift(kernel.unpack(value, weight // 2 + 1, 1, 1), 1, total, weight)
+    return _lift(grid_terms(kernel.unpack(value, weight // 2 + 1, 1, 1), 1, total, weight))
 
 
 # ---------------------------------------------------------------- specialization GCD

@@ -68,11 +68,17 @@ Slices = list[list[int]]    # slice e: the (c, q) grid of the words x^e y^(N - e
 def qbinomial_int_rows() -> Iterator[list[list[int]]]:
     """Rows 0, 1, 2, ... of Gaussian polynomials, entry k of row n the q-coefficients of [n, k]."""
     row = [[1]]
-    for n in count(1):
+    while True:
         yield row
-        # [n-1, k-1] and q^k [n-1, k], each padded to the k (n - k) + 1 cells of [n, k].
-        row = [[1], *(list(map(add, row[k - 1] + [0] * (n - k), [0] * k + row[k]))
-                      for k in range(1, n)), [1]]
+        entries = [[1]]
+        for k, (left, right) in enumerate(zip(row, row[1:]), 1):
+            # [n, k] = [n-1, k-1] + q^k [n-1, k]: the cells below k are [n-1, k-1]'s
+            # alone, those past its end q^k [n-1, k]'s alone, and the rest sums.
+            cells = left[:k]
+            cells += map(add, islice(left, k, None), right)
+            cells += right[len(left) - k:]
+            entries.append(cells)
+        row = [*entries, [1]]
 
 
 def qbinomial(n: int, k: int) -> MultiPoly:

@@ -116,6 +116,7 @@ class TestGenerate:
         def refuse(*args, **kwargs):
             raise AssertionError("a pair was built before the usage error")
         monkeypatch.setattr(cli.newton, "iterate_pair", refuse)
+        monkeypatch.setattr(cli.newton, "walk_to", refuse)
         monkeypatch.setattr(cli.quadfield, "root_form_pair", refuse)
         target = tmp_path / "a.jsonl"
         argv = ["generate", "--n", "8", "--method", method, "--audit", str(target)]
@@ -391,15 +392,49 @@ class TestVerify:
 
     def test_equivalence_builds_one_closed_pair_per_n(self, monkeypatch, capsys):
         calls = []
-        for name in ("closed_p", "closed_q"):
-            original = getattr(closedform, name)
-            monkeypatch.setattr(closedform, name,
-                                lambda n, _f=original, _name=name, **kw:
-                                calls.append((_name, n, kw.get("cap"))) or _f(n, **kw))
+        original = closedform.closed_grids
+        monkeypatch.setattr(closedform, "closed_grids",
+                            lambda n, **kw: calls.append((n, kw.get("cap"))) or original(n, **kw))
         assert cli.main(["verify", "equivalence", "--cap", "6"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert sorted(calls) == sorted((name, n, 6) for name in ("closed_p", "closed_q")
-                                       for n in range(6))
+        assert calls == [(n, 6) for n in range(6)]
+
+    # A closed-form term off the grading, outside the grid, or on a cell
+    # already filled makes that n a mismatch: no IndexError, no overwrite.
+    # At n = 2 P has 3 rows; the leading term moved to row 3 keeps both
+    # grading sums, with a negative b exponent.
+    @pytest.mark.parametrize("mutate", [
+        lambda terms: [(k, j, t, (i, b + 1, c, e)) for k, j, t, (i, b, c, e) in terms[:1]]
+        + terms[1:],
+        lambda terms: [(k, j, t, (i + 3, b - 6, c + 3, e)) for k, j, t, (i, b, c, e) in terms[:1]]
+        + terms[1:],
+        lambda terms: terms + terms[-1:],
+    ], ids=["b-exponent-plus-one", "c-past-the-last-row", "two-on-one-cell"])
+    def test_closed_grid_mutation_is_a_mismatch(self, monkeypatch, capsys, mutate):
+        original = closedform.p_contributions
+        monkeypatch.setattr(closedform, "p_contributions",
+                            lambda n, row: mutate(list(original(n, row))) if n == 2
+                            else original(n, row))
+        assert cli.main(["verify", "equivalence", "--max-n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert [entry["recurrence_equals_closed"] for entry in report["per_n"]] == [
+            True, True, False, True]
+        assert [entry["match"] for entry in report["rootform"] if entry["n"] == 2] == [False] * 5
+
+    def test_grid_paths_build_no_polynomial(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial was built")
+
+        for target, name in ((newton, "_lift"), (MultiPoly, "evaluate"),
+                             (closedform, "closed_p"), (closedform, "closed_q")):
+            monkeypatch.setattr(target, name, refuse)
+        assert cli.main(["eval", "--n", "6", "--a=3/2", "--b=-7/3", "--c=1/5", "--x=4/3"]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "equivalence", "--max-n", "6", "--rootform-max-n=-1"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert cli.main(["generate", "--n", "6"]) == 0
 
     def test_qconjecture_builds_each_pair_once(self, monkeypatch, capsys):
         # --commutative-max-n 3 needs the pairs n = 0..3, so three packed

@@ -10,6 +10,7 @@ from newtonpoly import cli, closedform
 from newtonpoly.closedform import (
     binomial,
     closed_audit,
+    closed_grids,
     closed_p,
     closed_q,
     lemma1_check,
@@ -19,7 +20,7 @@ from newtonpoly.closedform import (
     power_difference,
 )
 from newtonpoly.errors import ResourceCapError
-from newtonpoly.newton import iterate_pair
+from newtonpoly.newton import _lift, iterate_pair, pair_terms, walk
 from newtonpoly.polyring import ABCX, XY, MultiPoly
 
 
@@ -90,6 +91,16 @@ class TestClosedForms:
             closed_p(9)
         with pytest.raises(ResourceCapError):
             closed_q(6, cap=5)
+        with pytest.raises(ResourceCapError):
+            closed_grids(9)
+
+    def test_grids_equal_the_walk_grids(self):
+        for (n, p, q), _ in zip(walk(), range(9)):
+            assert closed_grids(n) == (p, q)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_grids_lift_to_the_polynomials(self, n):
+        assert tuple(map(_lift, pair_terms(n, *closed_grids(n)))) == (closed_p(n), closed_q(n))
 
 
 class TestAudit:

@@ -14,12 +14,15 @@ from newtonpoly.newton import (
     QuadraticCoeffs,
     _grid_resultant,
     coprimality_check,
+    eval_grids,
     eval_pair,
     iterate_pair,
     iterate_value,
     iterates,
     newton_step,
+    specialize,
     sylvester_resultant,
+    walk_to,
 )
 from newtonpoly.packing import ByteSlots
 from newtonpoly.polyring import ABCX, MultiPoly
@@ -301,6 +304,38 @@ class TestEvalPair:
                 continue
             assert eval_pair(iterate_pair(n), coeffs, x0) == stepwise
             checked += 1
+
+
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+class TestEvalGrids:
+    # The grid evaluator against the lifted pair's MultiPoly.evaluate: the
+    # same value, or the same DomainError where Q_n vanishes.
+    @given(n=st.integers(0, 6), a=RATIONALS.filter(bool), b=RATIONALS, c=RATIONALS,
+           x0=RATIONALS)
+    @example(n=1, a=Fraction(1), b=Fraction(0), c=Fraction(-1), x0=Fraction(0))
+    @example(n=6, a=Fraction(3, 2), b=Fraction(0), c=Fraction(0), x0=Fraction(0))
+    @example(n=6, a=Fraction(-2, 7), b=Fraction(5, 3), c=Fraction(0), x0=Fraction(1, 9))
+    @example(n=5, a=Fraction(1), b=Fraction(0), c=Fraction(-4, 3), x0=Fraction(7, 2))
+    def test_equals_eval_pair(self, n, a, b, c, x0):
+        coeffs = QuadraticCoeffs(a, b, c)
+
+        def value(evaluate):
+            try:
+                return evaluate()
+            except DomainError as exc:
+                return str(exc)
+
+        assert (value(lambda: eval_grids(n, *walk_to(n), coeffs, x0))
+                == value(lambda: eval_pair(iterate_pair(n), coeffs, x0)))
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("a, b, c", [(1, 0, -1), (2, 1, -3), (3, -2, -1), (-1, 0, 0)])
+    def test_specialize_equals_substitute(self, n, a, b, c):
+        pair, bindings = iterate_pair(n), {"a": a, "b": b, "c": c}
+        assert specialize(n, *walk_to(n), a, b, c) == (pair.p.substitute(bindings),
+                                                       pair.q.substitute(bindings))
 
 
 class TestResultant:

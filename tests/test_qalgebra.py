@@ -1,5 +1,6 @@
 import random
-from itertools import islice, starmap
+from itertools import count, islice, starmap
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -66,6 +67,15 @@ def pascal_oracle():
                       for k in range(1, len(row))), one)
 
 
+def padded_rows():
+    """Integer q-binomial rows, each entry the sum of its two parents padded to full length."""
+    row = [[1]]
+    for n in count(1):
+        yield row
+        row = [[1], *(list(map(add, row[k - 1] + [0] * (n - k), [0] * k + row[k]))
+                      for k in range(1, n)), [1]]
+
+
 class TestQBinomial:
     def test_edge_column(self):
         for n in range(8):
@@ -91,6 +101,9 @@ class TestQBinomial:
         # The integer rows have the layout of a slice row: k (n - k) + 1 cells for [n, k].
         for n, row in enumerate(islice(qbinomial_int_rows(), 25)):
             assert [len(cells) for cells in row] == [k * (n - k) + 1 for k in range(n + 1)]
+
+    def test_rows_equal_the_padded_sum_oracle(self):
+        assert list(islice(qbinomial_int_rows(), 65)) == list(islice(padded_rows(), 65))
 
     def test_out_of_range_is_zero(self):
         assert qbinomial(3, 5).is_zero
