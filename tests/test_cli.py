@@ -135,6 +135,29 @@ class TestGenerate:
         assert "only meaningful with --method rootform" in result.stderr
         assert result.stdout == ""
 
+    # A closed form that is not the pair is refused, whatever the format: a P term
+    # off the grading (b exponent + 1 at (k, j) = (1, 0)), or a wrong leading
+    # coefficient (the k = 2^n term times 3).
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("k, j, change", [
+        (1, 0, lambda coeff, mono: (coeff, (mono[0], mono[1] + 1, *mono[2:]))),
+        (8, 0, lambda coeff, mono: (3 * coeff, mono)),
+    ], ids=["off-grading", "wrong-lead"])
+    def test_closed_refusals(self, monkeypatch, capsys, fmt, k, j, change):
+        original = closedform.p_contributions
+
+        def mutated(n, row):
+            for k_, j_, coeff, mono in original(n, row):
+                if (k_, j_) == (k, j):
+                    coeff, mono = change(coeff, mono)
+                yield k_, j_, coeff, mono
+        monkeypatch.setattr(closedform, "p_contributions", mutated)
+        argv = ["generate", "--n", "3", "--method", "closed", "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv", [
     ("generate", "--n", "1", "--out"),
