@@ -4,6 +4,11 @@ One binary, subcommand style.  All output is deterministic: reports are JSON
 on stdout (or --out), randomness is always seeded through flags, and there is
 no environment-variable configuration.
 
+eval, verify equivalence and generate (but for --method rootform) read the
+pair's (c, x) grids, from newton.walk or closedform.closed_grids, and never
+build it as polynomials; verify coprime and verify smoothness take the
+polynomials of newton.iterates and newton.iterate_pair.
+
 Exit codes: 0 pass, 1 verification failure or domain error, 2 usage error,
 3 resource cap exceeded.
 """
@@ -21,8 +26,8 @@ from typing import Iterable, Iterator
 
 from . import closedform, newton, qalgebra, quadfield, smoothness
 from .errors import DEFAULT_CAP, DomainError, ResourceCapError, StructuralError, check_index
-from .newton import NewtonPair, QuadraticCoeffs
-from .polyring import ABCX, Monomial, MultiPoly
+from .newton import QuadraticCoeffs
+from .polyring import ABCX, LATEX_POWER, TEXT_POWER, Monomial, MultiPoly, render
 
 # Reference coefficient triples used by the equivalence and conjugacy suites.
 REFERENCE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
@@ -59,7 +64,8 @@ class _IntTexts(dict):
 class Terms:
     """A polynomial given as its variables and its (monomial, coefficient) terms in
     graded-lex order, highest first, as ``MultiPoly.sorted_terms`` gives them:
-    canonical_json writes it as that polynomial's ``to_dict()``."""
+    canonical_json writes it as that polynomial's ``to_dict()``, and
+    ``polyring.render`` as its text.  Every generate method writes through one."""
 
     __slots__ = ("varset", "terms")
 
@@ -86,13 +92,12 @@ def canonical_json(obj) -> str:
     every entry.  The table keeps at most ``_TEXT_CAP`` (4096) texts, so it
     does not grow with the input.
 
-    A ``MultiPoly`` is written as its ``to_dict()`` would be, without
-    building that dict: one %-template, made from the depth and the number
-    of variables, is applied to each term, and the term texts are joined
-    once, the polynomial's brackets folded in as above.  So the text again
-    exists at most twice, beside the term list of ``sorted_terms()``: for
-    the n = 6 pair the ``tracemalloc`` peak is 2.0 times the text's length.
-    A ``Terms`` is written the same way from its own terms.
+    A ``MultiPoly`` or a ``Terms`` is written as the polynomial's
+    ``to_dict()`` would be, without building that dict: one %-template, made
+    from the depth and the number of variables, is applied to each term, and
+    the term texts are joined once, the brackets folded in as above.  So the
+    text again exists at most twice, beside the term list: for the n = 6 pair
+    the ``tracemalloc`` peak is 2.0 times the text's length.
     """
     breaks = ["\n"]        # breaks[d]: a newline and the indent of depth d
     prefixes = {}          # key -> its '"key": ' prefix
@@ -213,12 +218,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_pair(n: int, method: str, cap: int) -> NewtonPair:
-    if method == "recurrence":
-        return newton.iterate_pair(n, cap=cap)
-    return NewtonPair(n, closedform.closed_p(n, cap=cap), closedform.closed_q(n, cap=cap))
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     given = [f"--{name}" for name in "abc" if getattr(args, name) is not None]
     if args.method == "rootform" and len(given) < 3:
@@ -229,24 +228,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.audit is not None and args.method != "closed":
         raise StructuralError("--audit is only meaningful with --method closed")
 
+    # The method picks the terms of P and Q, the format their one writer.
+    payload = {"n": args.n}
     if args.method == "rootform":
         coeffs = QuadraticCoeffs(args.a, args.b, args.c)
-        p, q = quadfield.root_form_pair(coeffs, args.n, cap=args.cap)
-        payload = {
-            "n": args.n,
-            "coeffs": {"a": str(coeffs.a), "b": str(coeffs.b), "c": str(coeffs.c)},
-            "p": p,
-            "q": q,
-        }
-    elif args.method == "recurrence" and args.format == "json":
-        # pair.to_dict(), written from the walk's grids without building the pair
-        p, q = (Terms(ABCX, terms)
-                for terms in newton.pair_terms(args.n, *newton.walk_to(args.n, args.cap)))
-        payload = {"n": args.n, "p": p, "q": q}
+        payload["coeffs"] = {"a": str(coeffs.a), "b": str(coeffs.b), "c": str(coeffs.c)}
+        p, q = (Terms(poly.varset, poly.sorted_terms())
+                for poly in quadfield.root_form_pair(coeffs, args.n, cap=args.cap))
     else:
-        pair = _build_pair(args.n, args.method, args.cap)
-        p, q = pair.p, pair.q
-        payload = {"n": pair.n, "p": p, "q": q}     # pair.to_dict(), written without the dicts
+        # The symbolic pair's (c, x) grids, checked as NewtonPair checks the pair.
+        grids = (newton.walk_to(args.n, args.cap) if args.method == "recurrence"
+                 else closedform.closed_grids(args.n, cap=args.cap))
+        newton.check_grids(args.n, *grids)
+        p, q = (Terms(ABCX, terms) for terms in newton.pair_terms(args.n, *grids))
+    payload.update(p=p, q=q)
 
     if args.audit is not None:
         # Each line is json.dumps(record.to_dict()), written through one template.
@@ -259,9 +254,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(canonical_json(payload), args.out)
     elif args.format == "latex":
-        _emit(p.latex() + "\n" + q.latex() + "\n", args.out)
+        _emit("".join(render(t.varset, t.terms, LATEX_POWER) + "\n" for t in (p, q)), args.out)
     else:
-        _emit(f"P = {p}\nQ = {q}\n", args.out)
+        _emit("".join(f"{name} = {render(t.varset, t.terms, TEXT_POWER)}\n"
+                      for name, t in (("P", p), ("Q", q))), args.out)
     return EXIT_PASS
 
 

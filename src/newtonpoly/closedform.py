@@ -101,40 +101,36 @@ def q_contributions(n: int, row: Sequence[T]) -> Iterator[tuple[int, int, T, Mon
             yield (k, j, row[k] * inner, (k + j, size - k - 2 * j - 1, j, k))
 
 
-def _binomial_row(n: int) -> list[int]:
-    size = 2 ** n
-    return [binomial(size, k) for k in range(size + 1)]
+def _contributions(n: int, cap: int) -> tuple[Iterator, Iterator]:
+    """The contributions of P_n and of Q_n on the row C(2^n, k), n checked against ``cap``."""
+    check_index(n, cap)
+    row = [binomial(2 ** n, k) for k in range(2 ** n + 1)]
+    return p_contributions(n, row), q_contributions(n, row)
 
 
 def closed_p(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
     """Numerator P_n over (a, b, c, x), one term per contribution of the double sum."""
-    check_index(n, cap)
-    return MultiPoly._raw(ABCX, {mono: coeff for _k, _j, coeff, mono
-                                 in p_contributions(n, _binomial_row(n))})
+    return MultiPoly._raw(ABCX, {mono: coeff for _k, _j, coeff, mono in _contributions(n, cap)[0]})
 
 
 def closed_q(n: int, cap: int = DEFAULT_CAP) -> MultiPoly:
     """Denominator Q_n over (a, b, c, x), one term per contribution of the double sum."""
-    check_index(n, cap)
-    return MultiPoly._raw(ABCX, {mono: coeff for _k, _j, coeff, mono
-                                 in q_contributions(n, _binomial_row(n))})
+    return MultiPoly._raw(ABCX, {mono: coeff for _k, _j, coeff, mono in _contributions(n, cap)[1]})
 
 
 def closed_grids(n: int, cap: int = DEFAULT_CAP) -> tuple[list[int] | None, list[int] | None]:
     """closed_p(n) and closed_q(n) as (c, x) grids, in the layout of newton.walk().
 
-    Each term goes to cell (k, e) of its c and x exponents once its a and b
-    exponents are checked against the grading, as in qalgebra.nc_closed.  With
-    every exponent nonnegative, i + j + k = 2^n - 1 and j + 2k + e = weight
-    put the cell inside the grid.  A term off the grading, and so any term
-    outside the grid, or a term on a cell already filled (no contribution is
-    zero), makes that grid None, unequal to any walk grid.
+    Each term goes to cell (k, e) of its c and x exponents once its exponents
+    pass the grading check of qalgebra.nc_closed, which also keeps the cell
+    inside the grid.  A term off the grading, or on a cell already filled (no
+    contribution is zero), makes that grid None, unequal to any walk grid;
+    newton.check_grids refuses it.
     """
-    check_index(n, cap)
+    contributions = _contributions(n, cap)
     size = 2 ** n
-    row = _binomial_row(n)
     pair = []
-    for terms, weight in ((p_contributions(n, row), size), (q_contributions(n, row), size - 1)):
+    for terms, weight in zip(contributions, (size, size - 1)):
         cells = [0] * ((weight // 2 + 1) * (size + 1))
         for _k, _j, coeff, (i, j, k, e) in terms:
             index = k * (size + 1) + e
@@ -153,13 +149,8 @@ def closed_audit(n: int, cap: int = DEFAULT_CAP) -> list[AuditRecord]:
     Each record is one term of closed_p(n) or closed_q(n), and each term has
     exactly one record.
     """
-    check_index(n, cap)
-    row = _binomial_row(n)
-    records = [AuditRecord("P", n, k, j, coeff, mono)
-               for k, j, coeff, mono in p_contributions(n, row)]
-    records.extend(AuditRecord("Q", n, k, j, coeff, mono)
-                   for k, j, coeff, mono in q_contributions(n, row))
-    return records
+    return [AuditRecord(poly, n, k, j, coeff, mono)
+            for poly, terms in zip("PQ", _contributions(n, cap)) for k, j, coeff, mono in terms]
 
 
 # ---------------------------------------------------------------- power-difference identity

@@ -23,13 +23,14 @@ grading fixes the layout: at x-degree N a row holds N + 1 cells, packed at
 stride 2N + 1, and P' has N + 1 rows, Q' N.  The recurrence never consults
 the closed form.
 
-The grids are the pair's working form.  eval_grids evaluates them, grid_terms
-yields their terms in the report's order, and specialize binds a, b and c on
-them.  On that path the grid's shape is the grading check: a cell names a
-monomial of the grading, and that every nonzero coefficient of P_n and Q_n
-lies on it is the paper's structure (obligation O5, ROADMAP item 12).  A
-grid becomes an (a, b, c, x) polynomial only when a caller asks for the
-pair (iterate_pair, iterates), and then NewtonPair checks the grading again.
+The grids are the pair's working form, and the closed form's grids share it:
+eval_grids evaluates them (eval), specialize binds a, b and c on them (verify
+equivalence), and pair_terms yields their terms in the report's order
+(generate).  A cell names a monomial of the grading, so the grid's shape is
+the grading check (obligation O5, ROADMAP item 12); check_grids adds the
+leading-cell rule.  A grid becomes an (a, b, c, x) polynomial only for
+iterate_pair and iterates (the library, verify coprime and verify
+smoothness), and then NewtonPair checks the grading again.
 
 The stepwise route (newton_step, iterate_value), which eval and the
 conjugacy check compare with P_n/Q_n at exact points, runs the literal map
@@ -119,10 +120,8 @@ class QuadraticCoeffs(namedtuple("QuadraticCoeffs", "a b c")):
 class NewtonPair(namedtuple("NewtonPair", "n p q")):
     """(P_n, Q_n) on the grading grid, with the leading coefficients pinned down.
 
-    Every term a^i b^j c^k x^e has i + j + k = 2^n - 1, and j + 2k + e is
-    2^n in P and 2^n - 1 in Q.  So the only possible term of top x-degree
-    is a^(2^n - 1) x^(2^n) in P and a^(2^n - 1) x^(2^n - 1) in Q, with
-    coefficient 1 in P and 2^n in Q.
+    Every term a^i b^j c^k x^e has i + j + k = 2^n - 1, and j + 2k + e is 2^n
+    in P and 2^n - 1 in Q; _check_lead checks the one term of top x-degree.
     """
 
     __slots__ = ()
@@ -137,14 +136,13 @@ class NewtonPair(namedtuple("NewtonPair", "n p q")):
         if self.p.varset != ABCX or self.q.varset != ABCX:
             raise StructuralError("pair polynomials must live over (a, b, c, x)")
         size = 2 ** self.n
-        for name, poly, weight, lead in (("P", self.p, size, 1), ("Q", self.q, size - 1, size)):
+        for name, poly, weight in (("P", self.p, size), ("Q", self.q, size - 1)):
             for i, j, k, e in poly._terms:
                 if i + j + k != size - 1 or j + 2 * k + e != weight:
                     raise StructuralError(
                         f"{name}_{self.n} has the term a^{i} b^{j} c^{k} x^{e}, off the grid "
                         f"i + j + k = {size - 1}, j + 2k + e = {weight}")
-            if poly._terms.get((size - 1, 0, 0, weight)) != lead:
-                raise StructuralError(f"leading x-coefficient of {name} != {lead} a^{size - 1}")
+            _check_lead(name, self.n, poly._terms.get((size - 1, 0, 0, weight)))
         return self
 
     @classmethod
@@ -154,6 +152,14 @@ class NewtonPair(namedtuple("NewtonPair", "n p q")):
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p.to_dict(), "q": self.q.to_dict()}
+
+
+def _check_lead(name: str, n: int, value: int | None) -> None:
+    """The leading-cell rule, for NewtonPair and check_grids: the top term of P_n,
+    a^(2^n - 1) x^(2^n), has coefficient 1; that of Q_n, a^(2^n - 1) x^(2^n - 1), 2^n."""
+    lead = 1 if name == "P" else 2 ** n
+    if value != lead:
+        raise StructuralError(f"leading x-coefficient of {name} != {lead} a^{2 ** n - 1}")
 
 
 def newton_step(coeffs: QuadraticCoeffs, z: Fraction | int) -> Fraction:
@@ -265,6 +271,16 @@ def pair_terms(n: int, p: list[int], q: list[int]) -> tuple[Iterator, Iterator]:
             grid_terms(q, size + 1, size - 1, size - 1))
 
 
+def check_grids(n: int, p: list[int] | None, q: list[int] | None) -> None:
+    """Refuse grids that are not (P_n, Q_n), as NewtonPair refuses polynomials: None,
+    closedform.closed_grids' mark of a term off the grading, or a wrong leading
+    term, which is cell (k, e) = (0, weight) of its grid."""
+    for name, cells, weight in (("P", p, 2 ** n), ("Q", q, 2 ** n - 1)):
+        if cells is None:
+            raise StructuralError(f"{name}_{n} has a term off the grading, or two on one cell")
+        _check_lead(name, n, cells[weight])
+
+
 def _pair(n: int, p: list[int], q: list[int]) -> NewtonPair:
     return NewtonPair(n, *map(_lift, pair_terms(n, p, q)))
 
@@ -272,14 +288,10 @@ def _pair(n: int, p: list[int], q: list[int]) -> NewtonPair:
 def iterates() -> Iterator[NewtonPair]:
     """The exact symbolic pairs (P_0, Q_0), (P_1, Q_1), ... grown by the squaring recurrence.
 
-    Every monomial a^i b^j c^k x^e has i + j + k = 2^n - 1, and j + 2k + e
-    is 2^n in P_n and 2^n - 1 in Q_n, so the recurrence runs on the grids of
-    (c, x) exponents: for n >= 1, P_n fills half of a (2^(n-1) + 1) by
-    (2^n + 1) grid.  Each step packs both grids by Kronecker substitution and takes three
-    squarings, P^2, Q^2 and (P + Q)^2.  packing.slot_size bounds every
-    coefficient of P' and Q', the only values unpacked, by Cauchy-Schwarz,
-    so the result is exact for every n.  Pair n is built when it is asked
-    for, and the step to n + 1 is taken only when that pair is.
+    The recurrence runs on the (c, x) grids of ``walk``; packing.slot_size
+    bounds every coefficient of P' and Q', the only values unpacked, by
+    Cauchy-Schwarz, so the result is exact for every n.  Pair n is lifted
+    when it is asked for, and the step to n + 1 is taken only when that pair is.
     """
     return starmap(_pair, walk())
 
@@ -344,18 +356,24 @@ def eval_grids(n: int, p: list[int], q: list[int], coeffs: QuadraticCoeffs,
                     denominator * coeffs.a.numerator * scale)
 
 
+def _x_coefficients(terms: Iterable[tuple[Monomial, int]], degree: int,
+                    tables: list[list[int]]) -> list[int]:
+    """The x^e coefficients, e = 0..degree, of (a, b, c, x) terms, a, b and c bound
+    through ``tables``, their powers, exact (specialize) or mod GCD_PRIME."""
+    powers_a, powers_b, powers_c = tables
+    out = [0] * (degree + 1)
+    for (i, j, k, e), coeff in terms:
+        out[e] += coeff * powers_a[i] * powers_b[j] * powers_c[k]
+    return out
+
+
 def specialize(n: int, p: list[int], q: list[int], a: int, b: int,
                c: int) -> tuple[MultiPoly, MultiPoly]:
     """(P_n, Q_n) at integers a, b and c, as polynomials over {x}, from their grids."""
     size = 2 ** n               # every exponent of a, b and c is below 2^n
-    powers_a, powers_b, powers_c = ([value ** e for e in range(size)] for value in (a, b, c))
-    pair = []
-    for terms in pair_terms(n, p, q):
-        out = [0] * (size + 1)
-        for (i, j, k, e), coeff in terms:
-            out[e] += coeff * powers_a[i] * powers_b[j] * powers_c[k]
-        pair.append(MultiPoly._raw(X_ONLY, {(e,): value for e, value in enumerate(out) if value}))
-    return tuple(pair)
+    tables = [[value ** e for e in range(size)] for value in (a, b, c)]
+    rows = (_x_coefficients(terms, size, tables) for terms in pair_terms(n, p, q))
+    return tuple(MultiPoly._raw(X_ONLY, {(e,): v for e, v in enumerate(row) if v}) for row in rows)
 
 
 # ---------------------------------------------------------------- resultants
@@ -473,14 +491,10 @@ def _specialized_gcd_degree(pair: NewtonPair, a: int, b: int, c: int) -> int:
     pair coprime over Q, and an unlucky prime could only turn a pass into a fail.
     """
     size = 2 ** pair.n                  # every exponent of a, b and c is below 2^n
-    powers_a, powers_b, powers_c = ([pow(value, e, GCD_PRIME) for e in range(size)]
-                                    for value in (a, b, c))
-    residues = []
-    for poly, degree in ((pair.p, size), (pair.q, size - 1)):
-        out = [0] * (degree + 1)
-        for (i, j, k, e), coeff in poly._terms.items():
-            out[e] += coeff * powers_a[i] * powers_b[j] * powers_c[k]
-        residues.append([v % GCD_PRIME for v in out])
+    tables = [[pow(value, e, GCD_PRIME) for e in range(size)] for value in (a, b, c)]
+    # The pair's own term dicts, not pair_terms: no grid walk per specialization.
+    residues = ([v % GCD_PRIME for v in _x_coefficients(poly._terms.items(), degree, tables)]
+                for poly, degree in ((pair.p, size), (pair.q, size - 1)))
     return _euclid_degree(*residues)
 
 

@@ -90,6 +90,10 @@ X_ONLY = VariableSet("x")
 ABCQXY = VariableSet("abcqxy")
 
 
+TEXT_POWER = "^{}"              # x^2
+LATEX_POWER = "^{{{}}}"         # x^{2}
+
+
 def _power_table(num: int, den: int, top: int) -> list[int]:
     """num^e den^(top - e) for e = 0..top: the powers of num/den over den^top."""
     return [num ** e * den ** (top - e) for e in range(top + 1)]
@@ -372,35 +376,28 @@ class MultiPoly:
             raise StructuralError(f"malformed polynomial JSON: {exc}") from exc
         return cls(varset, terms)
 
-    def _render(self, power_fmt: str) -> str:
-        if self.is_zero:
-            return "0"
-        pieces: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            factors = []
-            for name, exp in zip(self.varset.names, mono):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(name + power_fmt.format(exp))
-            magnitude = abs(coeff)
-            if magnitude != 1 or not factors:
-                factors.insert(0, str(magnitude))
-            body = " ".join(factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(pieces)
-
     def __str__(self) -> str:
-        return self._render("^{}")
+        return render(self.varset, self.sorted_terms(), TEXT_POWER)
 
     def latex(self) -> str:
-        return self._render("^{{{}}}")
+        return render(self.varset, self.sorted_terms(), LATEX_POWER)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.varset.names}, {self._terms!r})"
+
+
+def render(varset: VariableSet, terms: Iterable[tuple[Monomial, int]], power_fmt: str) -> str:
+    """``terms`` as text, in the order given, "0" when there is none; ``power_fmt``
+    writes an exponent above 1 (TEXT_POWER or LATEX_POWER).  MultiPoly's one renderer."""
+    pieces: list[str] = []
+    for mono, coeff in terms:
+        factors = [name if exp == 1 else name + power_fmt.format(exp)
+                   for name, exp in zip(varset.names, mono) if exp]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        sign = ("+ " if coeff > 0 else "- ") if pieces else ("" if coeff > 0 else "-")
+        pieces.append(sign + " ".join(factors))
+    return " ".join(pieces) or "0"
 
 
 def nc_mul(left: MultiPoly, right: MultiPoly) -> MultiPoly:

@@ -11,12 +11,19 @@ from hypothesis import example, given, strategies as st
 
 from newtonpoly import cli, closedform, newton, qalgebra, quadfield
 from newtonpoly.errors import StructuralError
-from newtonpoly.newton import QuadraticCoeffs, iterate_value
+from newtonpoly.newton import NewtonPair, QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import ABCX, CANONICAL_ORDER, MultiPoly, VariableSet
 
 # 1, 300 zeros, 1, over 7: from the 4th Newton iterate on, numerator and
 # denominator run past Python's default 4300-digit int/str limit.
 HUGE_SAMPLE = "1" + "0" * 300 + "1/7"
+
+
+def library_pair(n, method):
+    """The library's own pair for a symbolic method: the oracle of generate's grids."""
+    if method == "recurrence":
+        return newton.iterate_pair(n)
+    return NewtonPair(n, closedform.closed_p(n), closedform.closed_q(n))
 
 
 def run_cli(*args, **kwargs):
@@ -157,6 +164,18 @@ class TestGenerate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
+
+    # The lead check is applied to whichever grids generate writes.
+    @pytest.mark.parametrize("fmt", ["json", "latex"])
+    def test_recurrence_grids_with_a_wrong_lead_are_refused(self, monkeypatch, capsys, fmt):
+        original = newton.walk_to
+
+        def tripled_q(n, cap):
+            p, q = original(n, cap)
+            return p, [3 * v for v in q]
+        monkeypatch.setattr(newton, "walk_to", tripled_q)
+        assert cli.main(["generate", "--n", "3", "--format", fmt]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", "usage error: leading x-coefficient of Q != 8 a^7\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -695,18 +714,32 @@ class TestCanonicalJson:
     @pytest.mark.parametrize("method", ["recurrence", "closed"])
     def test_generate_writes_the_pair_dict(self, capsys, method):
         for n in range(9):
-            pair = cli._build_pair(n, method, n)
+            pair = library_pair(n, method)
             assert cli.main(["generate", "--n", str(n), "--method", method]) == 0
             assert capsys.readouterr().out == cli.canonical_json(pair.to_dict())
+
+    @pytest.mark.parametrize("method", ["recurrence", "closed"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_generate_writes_the_pair_text_and_latex(self, capsys, method, n):
+        pair = library_pair(n, method)
+        argv = ["generate", "--n", str(n), "--method", method, "--format"]
+        assert cli.main([*argv, "text"]) == 0
+        assert capsys.readouterr().out == f"P = {pair.p}\nQ = {pair.q}\n"
+        assert cli.main([*argv, "latex"]) == 0
+        assert capsys.readouterr().out == f"{pair.p.latex()}\n{pair.q.latex()}\n"
 
     @pytest.mark.parametrize("a, b, c", cli.REFERENCE_TRIPLES)
     def test_generate_rootform_writes_the_polynomial_dicts(self, capsys, a, b, c):
         p, q = quadfield.root_form_pair(QuadraticCoeffs(a, b, c), 8)
-        assert cli.main(["generate", "--method", "rootform", "--n", "8",
-                         f"--a={a}", f"--b={b}", f"--c={c}"]) == 0
+        argv = ["generate", "--method", "rootform", "--n", "8", f"--a={a}", f"--b={b}", f"--c={c}"]
+        assert cli.main(argv) == 0
         expected = {"n": 8, "coeffs": {"a": str(a), "b": str(b), "c": str(c)},
                     "p": p.to_dict(), "q": q.to_dict()}
         assert capsys.readouterr().out == cli.canonical_json(expected)
+        assert cli.main([*argv, "--format", "text"]) == 0
+        assert capsys.readouterr().out == f"P = {p}\nQ = {q}\n"
+        assert cli.main([*argv, "--format", "latex"]) == 0
+        assert capsys.readouterr().out == f"{p.latex()}\n{q.latex()}\n"
 
     def test_pair_json_peaks_below_two_and_a_half_texts(self):
         pair = newton.iterate_pair(6)

@@ -9,10 +9,15 @@ from hypothesis import example, given, strategies as st
 from newtonpoly.closedform import closed_p, closed_q
 from newtonpoly.errors import DomainError, ResourceCapError, StructuralError
 from newtonpoly.newton import (
+    DEGENERATE_PROBES,
+    GCD_PRIME,
     CoprimalityReport,
     NewtonPair,
     QuadraticCoeffs,
+    _euclid_degree,
     _grid_resultant,
+    _specialized_gcd_degree,
+    check_grids,
     coprimality_check,
     eval_grids,
     eval_pair,
@@ -428,6 +433,20 @@ class TestResultant:
             assert sympy.expand(to_sympy(sylvester_resultant(p, q, "x")) - expected) == 0
 
 
+class TestCheckGrids:
+    @pytest.mark.parametrize("n", range(6))
+    def test_walk_grids_pass_and_a_wrong_lead_is_refused(self, n):
+        p, q = walk_to(n)
+        check_grids(n, p, q)
+        size = 2 ** n
+        with pytest.raises(StructuralError, match="leading x-coefficient of P != 1"):
+            check_grids(n, [3 * v for v in p], q)
+        with pytest.raises(StructuralError, match=f"leading x-coefficient of Q != {size}"):
+            check_grids(n, p, [-v for v in q])
+        with pytest.raises(StructuralError, match=f"Q_{n} has a term off the grading"):
+            check_grids(n, p, None)
+
+
 class TestCoprimality:
     def test_passes_for_small_n(self):
         for n in range(4):
@@ -494,3 +513,16 @@ class TestCoprimality:
     def test_requires_a_trial(self):
         with pytest.raises(ValueError):
             coprimality_check(iterate_pair(1), trials=0)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_gcd_degree_equals_euclid_of_the_exact_specialization(self, n):
+        # The modular specializer reads the pair's terms; the exact one reads the
+        # grids.  Reduced mod the prime, the two must give the same Euclid.
+        rng, pair, grids, size = random.Random(n), iterate_pair(n), walk_to(n), 2 ** n
+        triples = [(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(-50, 50),
+                    rng.randint(-50, 50)) for _ in range(6)]
+        for a, b, c in triples + list(DEGENERATE_PROBES):
+            p, q = specialize(n, *grids, a, b, c)
+            residues = [[poly._terms.get((e,), 0) % GCD_PRIME for e in range(degree + 1)]
+                        for poly, degree in ((p, size), (q, size - 1))]
+            assert _specialized_gcd_degree(pair, a, b, c) == _euclid_degree(*residues)

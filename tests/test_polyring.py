@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from newtonpoly.errors import StructuralError
-from newtonpoly.polyring import (ABCQXY, ABCX, XY, MultiPoly, VariableSet, _grlex_key, divexact,
-                                 nc_mul)
+from newtonpoly.polyring import (ABCQXY, ABCX, LATEX_POWER, TEXT_POWER, X_ONLY, XY, MultiPoly,
+                                 VariableSet, _grlex_key, divexact, nc_mul, render)
 
 from conftest import random_poly
 
@@ -427,6 +427,46 @@ class TestSerialization:
         q1 = poly(coeff=2, a=1, x=1) + poly(b=1)
         assert q1.latex() == "2 a x + b"
         assert str(MultiPoly.zero(ABCX)) == "0"
+
+
+def method_render(p: MultiPoly, power_fmt: str) -> str:
+    """The renderer as it stood as a MultiPoly method, before it became polyring.render."""
+    if p.is_zero:
+        return "0"
+    pieces: list[str] = []
+    for mono, coeff in p.sorted_terms():
+        factors = []
+        for name, exp in zip(p.varset.names, mono):
+            if exp == 1:
+                factors.append(name)
+            elif exp > 1:
+                factors.append(name + power_fmt.format(exp))
+        magnitude = abs(coeff)
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        body = " ".join(factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(pieces)
+
+
+@given(st.sampled_from([X_ONLY, XY, ABCX, ABCQXY]).flatmap(polynomials))
+@example(MultiPoly.zero(ABCX))
+@example(MultiPoly.zero(VariableSet("")))
+@example(MultiPoly.constant(ABCX, 1))
+@example(MultiPoly.constant(ABCX, -1))
+@example(MultiPoly.constant(VariableSet(""), -7))
+@example(MultiPoly(X_ONLY, {(3,): -1, (1,): 1, (0,): -1}))
+@example(MultiPoly(ABCX, {(0, 0, 0, 12): -10 ** 30, (1, 0, 0, 0): 1}))
+def test_render_equals_the_method_renderer(p):
+    # Zero, constants and +-1 coefficients are where the rules differ from a plain join.
+    for power_fmt, method, old_fmt in ((TEXT_POWER, str, "^{}"),
+                                       (LATEX_POWER, MultiPoly.latex, "^{{{}}}")):
+        expected = method_render(p, old_fmt)
+        assert render(p.varset, p.sorted_terms(), power_fmt) == expected
+        assert method(p) == expected
 
 
 class TestDivexact:
