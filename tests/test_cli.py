@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from newtonpoly import cli, closedform, newton, qalgebra, quadfield
+from newtonpoly import cli, closedform, newton, qalgebra, quadfield, smoothness
 from newtonpoly.errors import StructuralError
 from newtonpoly.newton import NewtonPair, QuadraticCoeffs, iterate_value
 from newtonpoly.polyring import ABCX, CANONICAL_ORDER, MultiPoly, VariableSet
@@ -541,6 +541,37 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "resource cap: n = 3 exceeds the cap 2; raise the cap explicitly\n"
         assert sizes == [1, 2]
+
+    def test_smoothness_above_the_cap_takes_no_step(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a recurrence step was taken")
+
+        monkeypatch.setattr(newton, "_step", refuse)
+        assert cli.main(["verify", "smoothness", "--n", "9"]) == cli.EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource cap: n = 9 exceeds the cap 8; raise the cap explicitly\n"
+
+    # The two certificate suites write the library's reports on the recurrence's
+    # pair, byte for byte, whatever form of the pair they read.
+    @pytest.mark.parametrize("n, mode", [(n, "inclusive") for n in range(8)]
+                             + [(n, "strict") for n in range(3)])
+    def test_smoothness_report_is_the_library_certificate(self, capsys, n, mode):
+        code = cli.main(["verify", "smoothness", "--n", str(n), "--mode", mode])
+        result = smoothness.certify_pair(newton.iterate_pair(n), mode=mode)
+        assert code == (cli.EXIT_PASS if result.passed else cli.EXIT_FAIL)
+        assert capsys.readouterr().out == cli.canonical_json(
+            {"suite": "smoothness", "passed": result.passed, **result.to_dict()})
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_coprime_report_is_the_library_certificate(self, capsys, seed):
+        argv = ["verify", "coprime", "--max-n", "6", "--trials", "3", "--seed", str(seed)]
+        assert cli.main(argv) == cli.EXIT_PASS
+        reports = [newton.coprimality_check(newton.iterate_pair(n), 3, seed).to_dict()
+                   for n in range(7)]
+        assert capsys.readouterr().out == cli.canonical_json(
+            {"suite": "coprime", "max_n": 6, "trials": 3, "seed": seed, "reports": reports,
+             "passed": True})
 
     def test_rootform_range_may_be_empty(self):
         result = run_cli("verify", "equivalence", "--max-n", "1", "--rootform-max-n=-1")
