@@ -4,10 +4,10 @@ One binary, subcommand style.  All output is deterministic: reports are JSON
 on stdout (or --out), randomness is always seeded through flags, and there is
 no environment-variable configuration.
 
-eval, verify equivalence and generate (but for --method rootform) read the
-pair's (c, x) grids, from newton.walk or closedform.closed_grids, and never
-build it as polynomials; verify coprime and verify smoothness take the
-polynomials of newton.iterates and newton.iterate_pair.
+No command builds the symbolic pair as polynomials.  eval, verify
+equivalence, verify coprime, verify smoothness and generate (but for --method
+rootform) read its (c, x) grids, from newton.walk or closedform.closed_grids;
+the two certificates and generate read their terms through newton.pair_terms.
 
 Exit codes: 0 pass, 1 verification failure or domain error, 2 usage error,
 3 resource cap exceeded.
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 from . import closedform, newton, qalgebra, quadfield, smoothness
 from .errors import DEFAULT_CAP, DomainError, ResourceCapError, StructuralError, check_index
 from .newton import QuadraticCoeffs
-from .polyring import ABCX, LATEX_POWER, TEXT_POWER, Monomial, MultiPoly, render
+from .polyring import ABCX, LATEX_POWER, TEXT_POWER, MultiPoly, Term, render
 
 # Reference coefficient triples used by the equivalence and conjugacy suites.
 REFERENCE_TRIPLES = ((1, 0, -1), (1, -3, 2), (2, 1, -3), (1, 0, 1), (3, -2, -1))
@@ -69,7 +69,7 @@ class Terms:
 
     __slots__ = ("varset", "terms")
 
-    def __init__(self, varset, terms: Iterable[tuple[Monomial, int]]):
+    def __init__(self, varset, terms: Iterable[Term]):
         self.varset, self.terms = varset, terms
 
 
@@ -312,10 +312,10 @@ def _suite_equivalence(args) -> tuple[bool, dict]:
 
 
 def _suite_smoothness(args) -> tuple[bool, dict]:
-    pair = newton.iterate_pair(args.n, cap=args.cap)
-    result = smoothness.certify_pair(pair, mode=args.mode)
-    report = {"suite": "smoothness", "passed": result.passed}
-    report.update(result.to_dict())
+    grids = newton.walk_to(args.n, args.cap)
+    newton.check_grids(args.n, *grids)
+    result = smoothness.certify_terms(args.n, *newton.pair_terms(args.n, *grids), mode=args.mode)
+    report = {"suite": "smoothness", "passed": result.passed, **result.to_dict()}
     return result.passed, report
 
 
@@ -331,8 +331,10 @@ def _suite_lemma1(args) -> tuple[bool, dict]:
 def _suite_coprime(args) -> tuple[bool, dict]:
     reports = []
     ok = True
-    for pair in _capped(newton.iterates(), args.max_n, args.cap):
-        result = newton.coprimality_check(pair, trials=args.trials, seed=args.seed)
+    for n, p, q in _capped(newton.walk(), args.max_n, args.cap):
+        newton.check_grids(n, p, q)
+        p_terms, q_terms = map(list, newton.pair_terms(n, p, q))   # each read once per trial
+        result = newton.coprimality_terms(n, p_terms, q_terms, trials=args.trials, seed=args.seed)
         reports.append(result.to_dict())
         ok = ok and result.passed
     report = {"suite": "coprime", "max_n": args.max_n, "trials": args.trials,

@@ -26,11 +26,12 @@ the closed form.
 The grids are the pair's working form, and the closed form's grids share it:
 eval_grids evaluates them (eval), specialize binds a, b and c on them (verify
 equivalence), and pair_terms yields their terms in the report's order
-(generate).  A cell names a monomial of the grading, so the grid's shape is
-the grading check (obligation O5, ROADMAP item 12); check_grids adds the
-leading-cell rule.  A grid becomes an (a, b, c, x) polynomial only for
-iterate_pair and iterates (the library, verify coprime and verify
-smoothness), and then NewtonPair checks the grading again.
+(generate, and the two certificates: coprimality_terms here and
+smoothness.certify_terms).  A cell names a monomial of the grading, so the
+grid's shape is the grading check (obligation O5, ROADMAP item 12);
+check_grids adds the leading-cell rule.  No command builds the pair as
+(a, b, c, x) polynomials: a grid becomes one only for iterate_pair, which
+serves library callers, and then NewtonPair checks the grading again.
 
 The stepwise route (newton_step, iterate_value), which eval and the
 conjugacy check compare with P_n/Q_n at exact points, runs the literal map
@@ -71,11 +72,11 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat, starmap
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import DEFAULT_CAP, DomainError, StructuralError, check_index
 from .packing import ByteSlots, choose_radix, slot_size
-from .polyring import ABCX, X_ONLY, Monomial, MultiPoly, divexact
+from .polyring import ABCX, X_ONLY, MultiPoly, Term, divexact
 
 EXACT_RESULTANT_MAX_N = 3
 GCD_PRIME = (1 << 61) - 1       # Mersenne prime; the specialized gcd runs over GF(GCD_PRIME)
@@ -224,7 +225,7 @@ def _step(p: list[int], q: list[int], size: int) -> tuple[list[int], list[int]]:
 
 
 def grid_terms(cells: list[int], width: int, degree: int,
-               weight: int) -> Iterator[tuple[Monomial, int]]:
+               weight: int) -> Iterator[Term]:
     """(monomial, coefficient) of each nonzero cell, e descending, then k descending.
 
     i + j + k = degree and j + 2k + e = weight fix i and j.  The total degree
@@ -241,7 +242,7 @@ def grid_terms(cells: list[int], width: int, degree: int,
                 yield (degree - j - k, j, k, e), coeff
 
 
-def _lift(terms: Iterable[tuple[Monomial, int]]) -> MultiPoly:
+def _lift(terms: Iterable[Term]) -> MultiPoly:
     """Terms of grid_terms to polynomial; they are canonical as built."""
     return MultiPoly._raw(ABCX, dict(terms))
 
@@ -250,6 +251,8 @@ def walk() -> Iterator[tuple[int, list[int], list[int]]]:
     """(n, grid of P_n, grid of Q_n) for n = 0, 1, ...; n is yielded before the step to n + 1.
 
     Row k of a grid is the c exponent and cell e the x exponent, 2^n + 1 cells a row.
+    packing.slot_size bounds every coefficient of P' and Q', the only values
+    unpacked, by Cauchy-Schwarz, so the grids are exact for every n.
     """
     p, q = [0, 1], [1, 0]               # P_0 = x and Q_0 = 1, cells e = 0, 1
     for n in count():
@@ -281,24 +284,9 @@ def check_grids(n: int, p: list[int] | None, q: list[int] | None) -> None:
         _check_lead(name, n, cells[weight])
 
 
-def _pair(n: int, p: list[int], q: list[int]) -> NewtonPair:
-    return NewtonPair(n, *map(_lift, pair_terms(n, p, q)))
-
-
-def iterates() -> Iterator[NewtonPair]:
-    """The exact symbolic pairs (P_0, Q_0), (P_1, Q_1), ... grown by the squaring recurrence.
-
-    The recurrence runs on the (c, x) grids of ``walk``; packing.slot_size
-    bounds every coefficient of P' and Q', the only values unpacked, by
-    Cauchy-Schwarz, so the result is exact for every n.  Pair n is lifted
-    when it is asked for, and the step to n + 1 is taken only when that pair is.
-    """
-    return starmap(_pair, walk())
-
-
 def iterate_pair(n: int, cap: int = DEFAULT_CAP) -> NewtonPair:
-    """(P_n, Q_n) by the squaring recurrence (see ``iterates``); only the last grid is lifted."""
-    return _pair(n, *walk_to(n, cap))
+    """(P_n, Q_n) by the squaring recurrence: walk_to's grids, lifted for library callers."""
+    return NewtonPair(n, *map(_lift, pair_terms(n, *walk_to(n, cap))))
 
 
 def eval_pair(pair: NewtonPair, coeffs: QuadraticCoeffs, x0: Fraction | int) -> Fraction:
@@ -356,7 +344,7 @@ def eval_grids(n: int, p: list[int], q: list[int], coeffs: QuadraticCoeffs,
                     denominator * coeffs.a.numerator * scale)
 
 
-def _x_coefficients(terms: Iterable[tuple[Monomial, int]], degree: int,
+def _x_coefficients(terms: Iterable[Term], degree: int,
                     tables: list[list[int]]) -> list[int]:
     """The x^e coefficients, e = 0..degree, of (a, b, c, x) terms, a, b and c bound
     through ``tables``, their powers, exact (specialize) or mod GCD_PRIME."""
@@ -427,7 +415,7 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str = "x") -> MultiPoly
     return _bareiss_determinant(rows, MultiPoly.one(p.varset), divexact)
 
 
-def _grid_resultant(pair: NewtonPair) -> MultiPoly:
+def _grid_resultant(n: int, p_terms: Collection[Term], q_terms: Collection[Term]) -> MultiPoly:
     """Res_x(P_n, Q_n) over Z[a,b,c], as one Sylvester determinant over Z.
 
     Give b weight 1 and c weight 2.  With N = 2^n, the x^e coefficient has
@@ -443,19 +431,20 @@ def _grid_resultant(pair: NewtonPair) -> MultiPoly:
     permanent of the entries' l1 norms, at most ||P||_1^(N-1) ||Q||_1^N, so
     bitlen(that) + 2 bits, rounded up to whole bytes, hold each digit in a
     slot, and each coefficient of P_n and Q_n, which that bound exceeds.
+    Each term sequence is read twice, for its norm and for its columns.
     """
-    size = 2 ** pair.n
-    bound = (sum(map(abs, pair.p._terms.values())) ** (size - 1)
-             * sum(map(abs, pair.q._terms.values())) ** size)
+    size = 2 ** n
+    bound = (sum(abs(coeff) for _, coeff in p_terms) ** (size - 1)
+             * sum(abs(coeff) for _, coeff in q_terms) ** size)
     kernel = ByteSlots((bound.bit_length() + 2 + 7) // 8)
 
-    def packed(poly: MultiPoly, degree: int) -> list[int]:     # leading x-coefficient first
-        columns = [[0] * (size // 2 + 1) for _ in range(degree + 1)]
-        for (_, _, k, e), coeff in poly._terms.items():
+    def packed(terms: Iterable[Term], degree: int) -> list[int]:
+        columns = [[0] * (size // 2 + 1) for _ in range(degree + 1)]     # leading x first
+        for (_, _, k, e), coeff in terms:
             columns[degree - e][k] = coeff
         return [kernel.pack(column, 1, 1) for column in columns]
 
-    rows = _sylvester_matrix(packed(pair.p, size), packed(pair.q, size - 1), 0)
+    rows = _sylvester_matrix(packed(p_terms, size), packed(q_terms, size - 1), 0)
     value = _bareiss_determinant(rows, 1, operator.floordiv)
     total, weight = (2 * size - 1) * (size - 1), size * (size - 1)
     # One x^0 cell per power of c, k <= W/2 since j >= 0.
@@ -481,20 +470,20 @@ def _euclid_degree(u: list[int], v: list[int]) -> int:
     return len(u) - 1
 
 
-def _specialized_gcd_degree(pair: NewtonPair, a: int, b: int, c: int) -> int:
+def _specialized_gcd_degree(n: int, p_terms: Iterable[Term], q_terms: Iterable[Term],
+                            a: int, b: int, c: int) -> int:
     """deg gcd(P_n, Q_n) at (a, b, c) over GF(GCD_PRIME), for a not divisible by it.
 
-    Each x-coefficient is read off the pair's terms through power tables of
-    a, b and c modulo the prime.  GCD_PRIME divides neither leading
+    Each x-coefficient is read off the terms of P_n and Q_n through power
+    tables of a, b and c modulo the prime.  GCD_PRIME divides neither leading
     x-coefficient, a^(2^n - 1) and 2^n a^(2^n - 1), so both reductions keep
     their degree and the result is at least the degree over Q: 0 proves the
     pair coprime over Q, and an unlucky prime could only turn a pass into a fail.
     """
-    size = 2 ** pair.n                  # every exponent of a, b and c is below 2^n
+    size = 2 ** n                       # every exponent of a, b and c is below 2^n
     tables = [[pow(value, e, GCD_PRIME) for e in range(size)] for value in (a, b, c)]
-    # The pair's own term dicts, not pair_terms: no grid walk per specialization.
-    residues = ([v % GCD_PRIME for v in _x_coefficients(poly._terms.items(), degree, tables)]
-                for poly, degree in ((pair.p, size), (pair.q, size - 1)))
+    residues = ([v % GCD_PRIME for v in _x_coefficients(terms, degree, tables)]
+                for terms, degree in ((p_terms, size), (q_terms, size - 1)))
     return _euclid_degree(*residues)
 
 
@@ -539,43 +528,44 @@ class CoprimalityReport(NamedTuple):
         }
 
 
-def coprimality_check(pair: NewtonPair, trials: int = 10, seed: int = 42) -> CoprimalityReport:
+def coprimality_terms(n: int, p_terms: Collection[Term], q_terms: Collection[Term],
+                      trials: int = 10, seed: int = 42) -> CoprimalityReport:
     """Certify gcd(P_n, Q_n) = 1 by specialization trials (+ exact resultant for small n).
 
-    Random integer triples (a, b, c) are drawn from [-50, 50]; draws with a = 0
+    P_n and Q_n are given as their (monomial, coefficient) terms on the
+    grading, in any order, each term sequence read once per trial and probe
+    (pair_terms' generators, listed, or a NewtonPair's term dicts).  Random
+    integer triples (a, b, c) are drawn from [-50, 50]; draws with a = 0
     or b^2 - 4ac = 0 are redrawn, since the zero-discriminant case is exactly
     the exception the theory allows.  A fixed set of degenerate triples is also
     probed and recorded for inspection, without affecting the verdict.
     """
     if trials < 1:
         raise StructuralError(f"at least one trial is required, got {trials}")
+
+    def witness(a: int, b: int, c: int) -> TrialWitness:
+        return TrialWitness(a, b, c, _specialized_gcd_degree(n, p_terms, q_terms, a, b, c))
+
     rng = random.Random(seed)
-    witnesses: list[TrialWitness] = []
+    witnesses = []
     for _ in range(trials):
         while True:
-            a = rng.randint(-50, 50)
-            b = rng.randint(-50, 50)
-            c = rng.randint(-50, 50)
+            a, b, c = (rng.randint(-50, 50) for _ in range(3))
             if a != 0 and b * b - 4 * a * c != 0:
                 break
-        witnesses.append(TrialWitness(a, b, c, _specialized_gcd_degree(pair, a, b, c)))
+        witnesses.append(witness(a, b, c))
 
-    resultant = None
-    resultant_nonzero = None
-    if pair.n <= EXACT_RESULTANT_MAX_N:
-        resultant = _grid_resultant(pair)
-        resultant_nonzero = not resultant.is_zero
-        method = "exact-resultant"
-    else:
-        method = "randomized-substitution"
-
-    probes = tuple(
-        TrialWitness(a, b, c, _specialized_gcd_degree(pair, a, b, c))
-        for a, b, c in DEGENERATE_PROBES)
-
+    exact = n <= EXACT_RESULTANT_MAX_N
+    resultant = _grid_resultant(n, p_terms, q_terms) if exact else None
+    resultant_nonzero = not resultant.is_zero if exact else None
+    probes = tuple(starmap(witness, DEGENERATE_PROBES))
     ok = all(w.gcd_degree == 0 for w in witnesses) and resultant_nonzero is not False
     return CoprimalityReport(
-        n=pair.n, method=method, trials=trials, seed=seed,
-        witnesses=tuple(witnesses), verdict="pass" if ok else "fail",
-        resultant=resultant, resultant_nonzero=resultant_nonzero,
-        degenerate_probes=probes)
+        n=n, method="exact-resultant" if exact else "randomized-substitution",
+        trials=trials, seed=seed, witnesses=tuple(witnesses), verdict="pass" if ok else "fail",
+        resultant=resultant, resultant_nonzero=resultant_nonzero, degenerate_probes=probes)
+
+
+def coprimality_check(pair: NewtonPair, trials: int = 10, seed: int = 42) -> CoprimalityReport:
+    """coprimality_terms on the pair's own term dicts, which it reads faster than pair_terms."""
+    return coprimality_terms(pair.n, pair.p._terms.items(), pair.q._terms.items(), trials, seed)

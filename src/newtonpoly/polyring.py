@@ -40,6 +40,7 @@ CANONICAL_ORDER = ("a", "b", "c", "q", "x", "y")
 _RANK = {name: i for i, name in enumerate(CANONICAL_ORDER)}
 
 Monomial = tuple[int, ...]
+Term = tuple[Monomial, int]      # (monomial, coefficient)
 
 
 class VariableSet:
@@ -191,7 +192,7 @@ class MultiPoly:
         i = self.varset.index(name)
         return max((m[i] for m in self._terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
+    def sorted_terms(self) -> list[Term]:
         """Terms in graded-lex order, highest first (the serialization order)."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
@@ -386,7 +387,7 @@ class MultiPoly:
         return f"MultiPoly({self.varset.names}, {self._terms!r})"
 
 
-def render(varset: VariableSet, terms: Iterable[tuple[Monomial, int]], power_fmt: str) -> str:
+def render(varset: VariableSet, terms: Iterable[Term], power_fmt: str) -> str:
     """``terms`` as text, in the order given, "0" when there is none; ``power_fmt``
     writes an exponent above 1 (TEXT_POWER or LATEX_POWER).  MultiPoly's one renderer."""
     pieces: list[str] = []

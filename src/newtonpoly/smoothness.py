@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from itertools import islice
 from sys import intern
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .newton import NewtonPair
-from .polyring import Monomial
+from .polyring import Monomial, Term
 
 MODES = ("inclusive", "strict")
 
@@ -170,21 +170,23 @@ class SmoothnessReport(NamedTuple):
         }
 
 
-def certify_pair(pair: NewtonPair, mode: str = "inclusive") -> SmoothnessReport:
-    """Run smooth_part on |coefficient| of every stored term of P_n and Q_n.
+def certify_terms(n: int, p_terms: Iterable[Term], q_terms: Iterable[Term],
+                  mode: str = "inclusive") -> SmoothnessReport:
+    """Run smooth_part on |coefficient| of every (monomial, coefficient) term of P_n and Q_n.
 
-    The bound is 2^n.  Entries are ordered by (polynomial, graded-lex
-    monomial), matching the serialization order of the polynomials.  The
-    summary also counts coefficients with |coefficient| > 2^n, the machine
-    witness that smoothness is not explained by the coefficients being small.
+    The bound is 2^n.  Entries are written in the order of the terms, P's
+    before Q's: graded-lex, highest first, from newton.pair_terms and
+    MultiPoly.sorted_terms alike.  The summary also counts coefficients with
+    |coefficient| > 2^n, the machine witness that smoothness is not explained
+    by the coefficients being small.
     """
-    bound = 2 ** pair.n
+    bound = 2 ** n
     top, primes = _admissible_primes(bound, mode)     # sieved once for the pair
     entries: list[SmoothnessEntry] = []
     max_abs = 0
     exceeding = 0
-    for name, poly in (("P", pair.p), ("Q", pair.q)):
-        for monomial, coefficient in poly.sorted_terms():
+    for name, terms in (("P", p_terms), ("Q", q_terms)):
+        for monomial, coefficient in terms:
             magnitude = abs(coefficient)
             residual, factorization = _factor_over(magnitude, top, primes)
             entries.append(SmoothnessEntry(name, monomial, magnitude, residual == 1, residual,
@@ -193,8 +195,13 @@ def certify_pair(pair: NewtonPair, mode: str = "inclusive") -> SmoothnessReport:
             if magnitude > bound:
                 exceeding += 1
     return SmoothnessReport(
-        n=pair.n, bound=bound, mode=mode, entries=tuple(entries),
+        n=n, bound=bound, mode=mode, entries=tuple(entries),
         all_smooth=all(e.smooth for e in entries),
         max_abs_coefficient=max_abs,
         count_exceeding_bound=exceeding,
         total_coefficients=len(entries))
+
+
+def certify_pair(pair: NewtonPair, mode: str = "inclusive") -> SmoothnessReport:
+    """certify_terms on the sorted terms of P_n and Q_n."""
+    return certify_terms(pair.n, pair.p.sorted_terms(), pair.q.sorted_terms(), mode)

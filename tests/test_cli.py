@@ -469,9 +469,16 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a polynomial was built")
 
-        for target, name in ((newton, "_lift"), (MultiPoly, "evaluate"),
-                             (closedform, "closed_p"), (closedform, "closed_q")):
+        for target, name in ((newton, "iterate_pair"), (newton, "NewtonPair"),
+                             (MultiPoly, "evaluate"), (closedform, "closed_p"),
+                             (closedform, "closed_q")):
             monkeypatch.setattr(target, name, refuse)
+        # The certificates read the grids' terms; verify coprime still lifts, through
+        # _lift, the exact resultant it writes for n <= 3.
+        for argv in (["verify", "smoothness", "--n", "6"], ["verify", "coprime", "--max-n", "4"]):
+            assert cli.main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["passed"] is True
+        monkeypatch.setattr(newton, "_lift", refuse)
         assert cli.main(["eval", "--n", "6", "--a=3/2", "--b=-7/3", "--c=1/5", "--x=4/3"]) == 0
         capsys.readouterr()
         assert cli.main(["verify", "equivalence", "--max-n", "6", "--rootform-max-n=-1"]) == 0

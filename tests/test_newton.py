@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import islice
 from math import comb
 
 import pytest
@@ -19,12 +18,13 @@ from newtonpoly.newton import (
     _specialized_gcd_degree,
     check_grids,
     coprimality_check,
+    coprimality_terms,
     eval_grids,
     eval_pair,
     iterate_pair,
     iterate_value,
-    iterates,
     newton_step,
+    pair_terms,
     specialize,
     sylvester_resultant,
     walk_to,
@@ -35,6 +35,11 @@ from newtonpoly.polyring import ABCX, MultiPoly
 
 def term(coeff, **powers):
     return MultiPoly.term(ABCX, coeff, **powers)
+
+
+def grid_term_lists(n):
+    """The terms of the recurrence's P_n and Q_n, from their grids, as two lists."""
+    return tuple(map(list, pair_terms(n, *walk_to(n))))
 
 
 def schoolbook_pair(n):
@@ -222,9 +227,6 @@ class TestIteratePair:
             for (i, j, k, e), _ in poly.sorted_terms():
                 assert (i + j + k, j + 2 * k + e) == (size - 1, weight)
 
-    def test_one_walk_yields_every_pair(self):
-        assert list(islice(iterates(), 6)) == [iterate_pair(n) for n in range(6)]
-
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             iterate_pair(9)
@@ -378,7 +380,7 @@ class TestResultant:
         size, e = 2 ** n, 2 ** (n - 1) * (2 ** n - 1)
         expected = MultiPoly(ABCX, {((size - 1) ** 2 + k, 2 * (e - k), k, 0):
                                     comb(e, k) * (-4) ** k for k in range(e + 1)})
-        assert _grid_resultant(iterate_pair(n)) == expected
+        assert _grid_resultant(n, *grid_term_lists(n)) == expected
 
     def test_grid_resultant_refuses_a_term_off_the_grid(self):
         # b x^0 keeps deg_x and the leading coefficient of P_2, but its a, b, c
@@ -518,11 +520,33 @@ class TestCoprimality:
     def test_gcd_degree_equals_euclid_of_the_exact_specialization(self, n):
         # The modular specializer reads the pair's terms; the exact one reads the
         # grids.  Reduced mod the prime, the two must give the same Euclid.
-        rng, pair, grids, size = random.Random(n), iterate_pair(n), walk_to(n), 2 ** n
+        rng, terms, grids, size = random.Random(n), grid_term_lists(n), walk_to(n), 2 ** n
         triples = [(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(-50, 50),
                     rng.randint(-50, 50)) for _ in range(6)]
         for a, b, c in triples + list(DEGENERATE_PROBES):
             p, q = specialize(n, *grids, a, b, c)
             residues = [[poly._terms.get((e,), 0) % GCD_PRIME for e in range(degree + 1)]
                         for poly, degree in ((p, size), (q, size - 1))]
-            assert _specialized_gcd_degree(pair, a, b, c) == _euclid_degree(*residues)
+            assert _specialized_gcd_degree(n, *terms, a, b, c) == _euclid_degree(*residues)
+
+    # The term body on the recurrence's grids against the adapter on the lifted
+    # pair: witnesses, probes and, for n <= 3, the exact resultant.
+    @pytest.mark.parametrize("seed", [42, 7, 2004])
+    @pytest.mark.parametrize("n", range(7))
+    def test_terms_of_the_grids_give_the_pair_report(self, n, seed):
+        assert (coprimality_terms(n, *grid_term_lists(n), trials=4, seed=seed)
+                == coprimality_check(iterate_pair(n), trials=4, seed=seed))
+
+    # One changed cell of P_2's grid, off its leading cell, changes the
+    # resultant the report writes.
+    def test_one_changed_cell_changes_the_resultant(self):
+        p, q = walk_to(2)
+        changed = list(p)
+        changed[1 * 5 + 0] -= 1          # cell (k, e) = (1, 0), width 5: -b^2 c becomes -2 b^2 c
+        p_terms, q_terms = map(list, pair_terms(2, changed, q))
+        assert dict(p_terms)[(0, 2, 1, 0)] == -2
+        report = coprimality_terms(2, p_terms, q_terms, trials=1, seed=0)
+        honest = coprimality_terms(2, *grid_term_lists(2), trials=1, seed=0)
+        assert report.resultant != honest.resultant
+        assert report.resultant == sylvester_resultant(MultiPoly(ABCX, dict(p_terms)),
+                                                       MultiPoly(ABCX, dict(q_terms)), "x")

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from newtonpoly.cli import canonical_json
-from newtonpoly.newton import iterate_pair
+from newtonpoly.closedform import closed_p, closed_q
+from newtonpoly.newton import NewtonPair, iterate_pair, pair_terms, walk_to
 from newtonpoly import smoothness
 from newtonpoly.smoothness import (SmoothPart, SmoothnessEntry, SmoothnessReport, certify_pair,
-                                   sieve_primes, smooth_part)
+                                   certify_terms, sieve_primes, smooth_part)
 
 
 class TestSieve:
@@ -184,6 +185,28 @@ VALUES = st.one_of(
     st.builds(lambda factors, big: math.prod(factors) * big,
               st.lists(st.sampled_from(SMALL_PRIMES), max_size=30),
               st.sampled_from([1, 1, 131, 257, 263, 1021, 2 ** 61 - 1])))
+
+
+class TestCertifyTerms:
+    # The recurrence's grid terms against the closed form's pair, as records:
+    # every entry, in the same order.
+    @pytest.mark.parametrize("n", range(8))
+    def test_grid_terms_give_the_closed_pair_report(self, n):
+        assert (certify_terms(n, *pair_terms(n, *walk_to(n)))
+                == certify_pair(NewtonPair(n, closed_p(n), closed_q(n))))
+
+    # One changed cell of P_3's grid changes the entry at its monomial, and no other.
+    def test_one_changed_cell_changes_its_entry(self):
+        p, q = walk_to(3)
+        changed = list(p)
+        changed[2 * 9 + 3] *= 1009       # cell (k, e) = (2, 3), width 9: 112 a^4 b c^2 x^3
+        honest = certify_terms(3, *pair_terms(3, p, q))
+        report = certify_terms(3, *pair_terms(3, changed, q))
+        differ = [(old, new) for old, new in zip(honest.entries, report.entries) if old != new]
+        assert differ == [(SmoothnessEntry("P", (4, 1, 2, 3), 112, True, 1, 7, {2: 4, 7: 1}),
+                           SmoothnessEntry("P", (4, 1, 2, 3), 112 * 1009, False, 1009, 7,
+                                           {2: 4, 7: 1}))]
+        assert not report.passed
 
 
 class TestTrialDivision:
